@@ -17,7 +17,8 @@ its adjoint-derivation form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     ConflictingEntry,
@@ -137,11 +138,18 @@ def complete_table(field: Field, dims: SuperDim, entries) -> BracketTable:
 
 @dataclass(frozen=True)
 class Superalgebra:
+    """A Lie superalgebra by its bracket table.
+
+    Invariants are memoized on the instance (see `_per_algebra`), so the
+    table must never be mutated after construction.
+    """
+
     field: Field
     dims: SuperDim
     basis: tuple
     table: BracketTable
     name: str = ""
+    _facts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_entries(cls, field, dims, entries, name="", labels=None) -> "Superalgebra":
@@ -187,6 +195,22 @@ class Superalgebra:
 
     def __str__(self):
         return f"{self.name or 'superalgebra'} {self.dims} over {self.field}"
+
+
+def _per_algebra(fn):
+    """Memoize fn(L) on L itself, so the result lives exactly as long as L.
+
+    Only small facts (subspaces, the series, the multiplier report) are
+    kept. Each miss calls the wrapper's `__wrapped__`, looked up at call
+    time, so a test can count how often a fact is actually computed.
+    """
+    @functools.wraps(fn)
+    def cached(L):
+        facts = L._facts
+        if fn.__name__ not in facts:
+            facts[fn.__name__] = cached.__wrapped__(L)
+        return facts[fn.__name__]
+    return cached
 
 
 def bracket(L: Superalgebra, x, y) -> list:
@@ -394,21 +418,22 @@ def product_subspace(L: Superalgebra, a: GradedSubspace, b: GradedSubspace) -> G
     return GradedSubspace.from_vectors(L.field, L.dims, vecs)
 
 
+@_per_algebra
 def derived_subspace(L: Superalgebra) -> GradedSubspace:
-    full = GradedSubspace.full(L.field, L.dims)
-    return product_subspace(L, full, full)
+    """L^2, the span of the table's values (each one is homogeneous)."""
+    return GradedSubspace.from_vectors(L.field, L.dims, L.table.entries.values())
 
 
-def lower_central_series(L: Superalgebra) -> list[GradedSubspace]:
+@_per_algebra
+def lower_central_series(L: Superalgebra) -> tuple[GradedSubspace, ...]:
     """C^0 = L, C^{i+1} = [L, C^i]; stops when two consecutive terms agree."""
     full = GradedSubspace.full(L.field, L.dims)
     series = [full]
-    while True:
-        nxt = product_subspace(L, full, series[-1])
-        if nxt == series[-1]:
-            break
+    nxt = derived_subspace(L)
+    while nxt != series[-1]:
         series.append(nxt)
-    return series
+        nxt = product_subspace(L, full, nxt)
+    return tuple(series)
 
 
 def is_nilpotent(L: Superalgebra) -> bool:
@@ -445,8 +470,8 @@ def nilpotent_by_components(L: Superalgebra) -> bool:
     return ev[-1].is_zero() and od[-1].is_zero()
 
 
-def center(L: Superalgebra) -> GradedSubspace:
-    """Joint kernel of all adjoint maps ad(b_j)."""
+def _ad_rows(L: Superalgebra) -> list[list]:
+    """Nonzero rows of the linear system [x, b_j] = 0 for all j, in x."""
     total = L.dims.total
     rows = []
     for j in range(total):
@@ -455,7 +480,13 @@ def center(L: Superalgebra) -> GradedSubspace:
             row = [c[k] if c is not None else L.field.zero for c in cols]
             if any(row):
                 rows.append(row)
-    basis = nullspace(rows, total, L.field)
+    return rows
+
+
+@_per_algebra
+def center(L: Superalgebra) -> GradedSubspace:
+    """Joint kernel of all adjoint maps ad(b_j)."""
+    basis = nullspace(_ad_rows(L), L.dims.total, L.field)
     return GradedSubspace.from_vectors(L.field, L.dims, basis)
 
 

@@ -13,12 +13,13 @@ on each basis-aligned central line; any disagreement raises CrossCheckError.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import (
     GradedSubspace,
     Superalgebra,
-    bracket,
+    _ad_rows,
     center,
     derived_subspace,
     is_nilpotent,
@@ -28,8 +29,8 @@ from .errors import CrossCheckError, NotCentral, NotNilpotent, WrongDimension
 from .homology import (
     MultiplierReport,
     PairSpace,
+    _relation_vectors,
     multiplier_dimension,
-    relations3,
 )
 from .linalg import nullspace, reduce_vector, rref, zero_vector
 
@@ -42,15 +43,12 @@ def mono_criterion(L: Superalgebra, K: GradedSubspace) -> bool:
     """
     if K.dim.total != 1:
         raise WrongDimension(f"K must be one-dimensional, got {K.dim}")
-    gen = K.full_vectors()[0]
-    full = GradedSubspace.full(L.field, L.dims)
-    for v in full.full_vectors():
-        if any(bracket(L, gen, v)):
-            raise NotCentral("K is not contained in the center")
+    if not center(L).contains(K):
+        raise NotCentral("K is not contained in the center")
     m_l = multiplier_dimension(L).dim_multiplier
     h, _ = quotient(L, K)
     m_h = multiplier_dimension(h).dim_multiplier
-    k_in_sq = 1 if derived_subspace(L).contains_vector(gen) else 0
+    k_in_sq = 1 if derived_subspace(L).contains(K) else 0
     return m_l == m_h - k_in_sq
 
 
@@ -76,19 +74,9 @@ class EpicenterReport:
 
 def _epicenter_subspace(L: Superalgebra) -> GradedSubspace:
     ps = PairSpace.of(L)
-    d3 = relations3(L, ps)
-    cols = [tuple(d3.rows[r][c] for r in range(ps.dim)) for c in range(d3.domain_dim)]
-    im_rows, im_piv = rref(cols)
+    im_rows, im_piv = rref(_relation_vectors(L, ps))
     total = L.dims.total
-    z = L.field.zero
-    rows = []
-    # centrality: [x, b_j] = 0 for all j
-    for j in range(total):
-        cols_j = [L.bracket_basis(i, j) for i in range(total)]
-        for k in range(total):
-            row = [c[k] if c is not None else z for c in cols_j]
-            if any(row):
-                rows.append(row)
+    rows = _ad_rows(L)  # centrality: [x, b_j] = 0 for all j
     # lift condition: sum_i x_i s(i, j) lies in the relation span, each j
     for j in range(total):
         reduced = []
@@ -158,25 +146,21 @@ class GammaVerdict:
 
 GAMMA_CLASS_NAMES = ("(2|2)_4", "(2|2)_6", "(1|3)_1", "(3|2)_13", "(2|3)_18")
 
-_fingerprint_cache: dict = {}
 
-
-def fingerprint(L: Superalgebra, report: MultiplierReport | None = None) -> tuple:
+def fingerprint(L: Superalgebra) -> tuple:
     """Invariant fingerprint: superdims of L, L^2 and Z(L), dim M, gamma."""
-    rep = report or multiplier_dimension(L)
+    rep = multiplier_dimension(L)
     d = derived_subspace(L).dim
     zc = center(L).dim
     return (L.dims.even, L.dims.odd, d.even, d.odd, zc.even, zc.odd,
             rep.dim_multiplier, rep.gamma)
 
 
+@functools.cache
 def _class_fingerprints() -> dict:
-    if not _fingerprint_cache:
-        from .catalog import get
+    from .catalog import get
 
-        for name in GAMMA_CLASS_NAMES:
-            _fingerprint_cache[name] = fingerprint(get(name))
-    return _fingerprint_cache
+    return {name: fingerprint(get(name)) for name in GAMMA_CLASS_NAMES}
 
 
 def gamma(L: Superalgebra) -> GammaVerdict:
@@ -187,7 +171,7 @@ def gamma(L: Superalgebra) -> GammaVerdict:
     in_scope = rep.gamma is not None
     match = None
     if in_scope:
-        fp = fingerprint(L, rep)
+        fp = fingerprint(L)
         for name, ref in _class_fingerprints().items():
             if fp == ref:
                 match = name

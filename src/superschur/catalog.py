@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import SuperDim, Superalgebra, derived_subspace
+from .algebra import SuperDim, Superalgebra, default_labels, derived_subspace
 from .errors import ScopeWarning, UnknownName
 from .fields import Field, RATIONALS
 
@@ -118,12 +118,8 @@ def entry(name: str) -> CatalogEntry:
         raise UnknownName(f"no catalog entry named {name!r}") from None
 
 
-def _labels(dims: SuperDim) -> list[str]:
-    return [f"e{i + 1}" for i in range(dims.even)] + [f"f{j + 1}" for j in range(dims.odd)]
-
-
 def _build(field: Field, dims: SuperDim, brackets, name: str) -> Superalgebra:
-    labels = _labels(dims)
+    labels = default_labels(dims)
     pos = {lbl: i for i, lbl in enumerate(labels)}
     entries = []
     for (la, lb), terms in brackets:
@@ -169,7 +165,7 @@ def family_4_2(alpha2, alpha4, field: Field = RATIONALS) -> Superalgebra:
     a2 = field.of(alpha2)
     a4 = field.of(alpha4)
     dims = SuperDim(4, 2)
-    labels = _labels(dims)
+    labels = default_labels(dims)
     z = field.zero
     e3 = labels.index("e3")
     e4 = labels.index("e4")

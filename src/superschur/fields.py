@@ -78,7 +78,7 @@ class Mod:
         return NotImplemented if v is None else self.val == v
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        return hash(self.val)  # equal ints must hash alike: Mod(1, 5) == 1
 
     def __repr__(self):
         return str(self.val)

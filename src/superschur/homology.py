@@ -23,11 +23,12 @@ from .algebra import (
     GradedSubspace,
     SuperDim,
     Superalgebra,
+    _per_algebra,
     derived_subspace,
     is_nilpotent,
 )
 from .errors import NotNilpotent
-from .linalg import LinearMap, reduce_vector, rref, zero_vector
+from .linalg import LinearMap, mat_rank, reduce_vector, rref, zero_vector
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,11 @@ def relations3(L: Superalgebra, pspace: PairSpace | None = None,
     return LinearMap(L.field, rows)
 
 
+def _relation_vectors(L: Superalgebra, ps: PairSpace) -> list[tuple]:
+    """The Jacobi-defect tail vectors, one per canonical triple."""
+    return list(zip(*relations3(L, ps).rows))
+
+
 def gamma_in_scope(L: Superalgebra, dim_derived: int) -> bool:
     """The defect invariant is defined for derived codimension 2,
     total dimension at least 4 and at least one odd direction."""
@@ -174,16 +180,15 @@ class MultiplierReport:
                 f"dim M = {self.dim_multiplier}, gamma = {g}")
 
 
+@_per_algebra
 def multiplier_dimension(L: Superalgebra) -> MultiplierReport:
     """Multiplier dimension by exact rank arithmetic (nilpotent L only)."""
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     t0 = time.perf_counter()
     ps = PairSpace.of(L)
-    d2 = boundary2(L, ps)
-    d3 = relations3(L, ps)
-    dim_derived = d2.rank()
-    rank_rel = d3.rank()
+    dim_derived = derived_subspace(L).dim.total
+    rank_rel = mat_rank(_relation_vectors(L, ps))
     dim_mult = ps.dim - dim_derived - rank_rel
     m, n = L.dims.even, L.dims.odd
     gamma = m + 2 * n - 2 - dim_mult if gamma_in_scope(L, dim_derived) else None
@@ -222,9 +227,7 @@ def tail_extension(L: Superalgebra) -> TailExtension:
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     ps = PairSpace.of(L)
-    d3 = relations3(L, ps)
-    cols = [tuple(d3.rows[r][c] for r in range(ps.dim)) for c in range(d3.domain_dim)]
-    im_rows, im_piv = rref(cols)
+    im_rows, im_piv = rref(_relation_vectors(L, ps))
     free = [t for t in range(ps.dim) if t not in set(im_piv)]
     free_even = [t for t in free if ps.parities[t] == EVEN]
     free_odd = [t for t in free if ps.parities[t] == 1]
@@ -280,11 +283,3 @@ def tail_extension(L: Superalgebra) -> TailExtension:
         row[embed_l(r)] = L.field.one
         proj_rows.append(tuple(row))
     return TailExtension(ext, kernel, LinearMap(L.field, tuple(proj_rows)))
-
-
-def multiplier_in_extension(L: Superalgebra, ext: TailExtension) -> int:
-    """dim(E^2 intersect W), which equals the multiplier dimension."""
-    from .algebra import intersection_dim
-
-    e2 = derived_subspace(ext.algebra)
-    return intersection_dim(e2, ext.kernel)

@@ -1,16 +1,13 @@
 """Exact dense linear algebra over Q and F_p.
 
 Vectors are tuples (or lists) of field scalars, matrices are sequences of
-row sequences. Rank over the rationals uses fraction-free Bareiss
-elimination on an integerized copy; everything else is plain exact
-Gauss-Jordan, which is valid over any field.
+row sequences. Rank, nullspaces and reduction all rest on one primitive,
+exact Gauss-Jordan elimination (`rref`), which is valid over any field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import DimensionMismatch
 from .fields import Field
@@ -19,18 +16,6 @@ from .fields import Field
 def zero_vector(field: Field, n: int) -> list:
     z = field.zero
     return [z] * n
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
 
 
 def vec_is_zero(u) -> bool:
@@ -69,42 +54,9 @@ def rref(rows):
     return [tuple(row) for row in work[:r]], pivots
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def mat_rank(rows, field: Field) -> int:
-    """Exact rank: fraction-free over Q, plain elimination over F_p."""
-    work = [r for r in rows if any(r)]
-    if not work:
-        return 0
-    if field.is_rational:
-        ints = []
-        for row in work:
-            den = 1
-            for x in row:
-                d = Fraction(x).denominator
-                den = den * d // gcd(den, d)
-            ints.append([int(x * den) for x in row])
-        return _bareiss_rank(ints)
-    return len(rref(work)[0])
+def mat_rank(rows) -> int:
+    """Exact rank, over any field."""
+    return len(rref(rows)[0])
 
 
 def nullspace(rows, ncols: int, field: Field) -> list[tuple]:
@@ -131,10 +83,6 @@ def reduce_vector(vec, pivot_rows, pivots):
             f = v[p]
             v = [a - f * b for a, b in zip(v, row)]
     return v
-
-
-def in_row_space(vec, pivot_rows, pivots) -> bool:
-    return vec_is_zero(reduce_vector(vec, pivot_rows, pivots))
 
 
 @dataclass(frozen=True)
@@ -164,7 +112,7 @@ class LinearMap:
         return [r[j] for r in self.rows]
 
     def rank(self) -> int:
-        return mat_rank(self.rows, self.field)
+        return mat_rank(self.rows)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""

@@ -199,17 +199,13 @@ def load(text: str, field: Field | None = None) -> Superalgebra:
     return lower(parse(text), field)
 
 
-def _format_scalar(c) -> str:
-    return str(c)
-
-
 def _format_term(L: Superalgebra, k: int, c, first: bool) -> str:
     mag = c
     neg = False
     if str(c).startswith("-"):
         neg = True
         mag = -c
-    ms = _format_scalar(mag)
+    ms = str(mag)
     body = L.label(k) if ms == "1" else f"{ms}{L.label(k)}"
     if first:
         return f"-{body}" if neg else body

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from superschur import (
     heisenberg3,
     mono_criterion,
     names,
+    multiplier_dimension,
     verify_no_low_gamma,
 )
+from superschur import algebra, homology
 from superschur.capability import GAMMA_CLASS_NAMES, fingerprint
 from superschur.errors import NotCentral, NotNilpotent, WrongDimension
 from superschur.fields import RATIONALS
@@ -55,6 +58,35 @@ def test_mono_rejects_wrong_dimension():
     L = abelian(2, 0)
     with pytest.raises(WrongDimension):
         mono_criterion(L, GradedSubspace.full(RATIONALS, L.dims))
+
+
+# --- each fact once per algebra ---------------------------------------------
+
+def test_each_fact_is_computed_once_per_algebra(monkeypatch):
+    L = get("(2|3)_23")
+    built = Counter()
+
+    def count(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def counting(A, *args, **kwargs):
+            if A is L:  # not the quotients that mono_criterion makes
+                built[key] += 1
+            return inner(A, *args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+
+    # a memoized fact is computed by its `__wrapped__`; relations3 is not memoized
+    for fn in (algebra.lower_central_series, algebra.derived_subspace, algebra.center,
+               homology.multiplier_dimension):
+        count(fn, "__wrapped__", fn.__name__)
+    count(homology, "relations3", "relations3")
+
+    multiplier_dimension(L)
+    assert epicenter(L).per_generator  # (2|3)_23 has central lines to cross-check
+    gamma(L)
+    assert built.pop("relations3") <= 2  # the multiplier and the epicenter
+    assert built == {"lower_central_series": 1, "derived_subspace": 1, "center": 1,
+                     "multiplier_dimension": 1}
 
 
 # --- epicenter --------------------------------------------------------------

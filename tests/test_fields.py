@@ -68,3 +68,9 @@ def test_mod_ring_axioms(a, b, c):
 def test_mod_hash_and_repr():
     assert hash(Mod(3, 5)) == hash(Mod(8, 5))
     assert repr(Mod(8, 5)) == "3"
+
+
+def test_mod_hashes_like_the_int_it_equals():
+    assert Mod(1, 5) == 1
+    assert {Mod(1, 5): 0}[1] == 0
+    assert {1: 0}[Mod(6, 5)] == 0

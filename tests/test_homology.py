@@ -24,8 +24,7 @@ from superschur import (
 from superschur.algebra import intersection_dim
 from superschur.errors import NotNilpotent
 from superschur.fields import Field, RATIONALS
-from superschur.homology import multiplier_in_extension
-from superschur.linalg import in_row_space, rref
+from superschur.linalg import reduce_vector, rref
 
 from oracles import oracle_multiplier
 
@@ -132,13 +131,13 @@ def test_relation_vectors_2_3_22():
     e1, e2, f1, f2, f3 = range(5)
     # forced-zero tails
     for pair in [(e2, f1), (e2, f2), (f1, f2), (f1, f1), (e2, f3)]:
-        assert in_row_space(unit(pair), rows, piv), pair
+        assert not any(reduce_vector(unit(pair), rows, piv)), pair
     # tied tails
-    assert in_row_space(plus(unit((e1, e2)), unit((f2, f3), -2)), rows, piv)
-    assert in_row_space(plus(unit((f1, f3)), unit((f2, f2))), rows, piv)
+    assert not any(reduce_vector(plus(unit((e1, e2)), unit((f2, f3), -2)), rows, piv))
+    assert not any(reduce_vector(plus(unit((f1, f3)), unit((f2, f2))), rows, piv))
     # surviving generators stay out
-    assert not in_row_space(unit((e1, f1)), rows, piv)
-    assert not in_row_space(unit((e1, e2)), rows, piv)
+    assert any(reduce_vector(unit((e1, f1)), rows, piv))
+    assert any(reduce_vector(unit((e1, e2)), rows, piv))
 
 
 # --- multiplier dimension ---------------------------------------------------
@@ -234,14 +233,14 @@ def test_tail_extension_abelian_1_1():
     ext = tail_extension(abelian(1, 1))
     assert ext.algebra.dims == SuperDim(2, 2)
     assert ext.kernel.dim == SuperDim(1, 1)
-    assert multiplier_in_extension(abelian(1, 1), ext) == 2
+    assert intersection_dim(derived_subspace(ext.algebra), ext.kernel) == 2
 
 
 def test_tail_extension_2_3_22():
     L = get("(2|3)_22")
     ext = tail_extension(L)
     assert ext.kernel.dim.total == 13 - 7
-    assert multiplier_in_extension(L, ext) == 3
+    assert intersection_dim(derived_subspace(ext.algebra), ext.kernel) == 3
 
 
 def _check_extension(L):
