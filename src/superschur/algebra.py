@@ -470,16 +470,18 @@ def nilpotent_by_components(L: Superalgebra) -> bool:
     return ev[-1].is_zero() and od[-1].is_zero()
 
 
-def _ad_rows(L: Superalgebra) -> list[list]:
-    """Nonzero rows of the linear system [x, b_j] = 0 for all j, in x."""
+def _ad_rows(L: Superalgebra) -> list[dict]:
+    """Nonzero rows of the linear system [x, b_j] = 0 for all j, in x,
+    each a sparse {i: scalar} dict."""
     total = L.dims.total
     rows = []
     for j in range(total):
-        cols = [L.bracket_basis(i, j) for i in range(total)]
-        for k in range(total):
-            row = [c[k] if c is not None else L.field.zero for c in cols]
-            if any(row):
-                rows.append(row)
+        by_coord = {}
+        for i in range(total):
+            for k, c in enumerate(L.bracket_basis(i, j) or ()):
+                if c:
+                    by_coord.setdefault(k, {})[i] = c
+        rows.extend(by_coord.values())
     return rows
 
 
@@ -527,11 +529,9 @@ def quotient(L: Superalgebra, ideal: GradedSubspace):
         name=f"{L.name}/K" if L.name else "quotient",
         labels=[L.label(i) for i in keep],
     )
-    unit = GradedSubspace.full(L.field, L.dims).full_vectors()
-    cols = [project(unit[k]) for k in range(L.dims.total)]
-    proj = LinearMap(L.field, tuple(
-        tuple(cols[k][r] for k in range(L.dims.total)) for r in range(len(keep))
-    ))
+    cols = (project(u) for u in GradedSubspace.full(L.field, L.dims).full_vectors())
+    proj = LinearMap(L.field, len(keep),
+                     tuple({r: x for r, x in enumerate(col) if x} for col in cols))
     return q, proj
 
 

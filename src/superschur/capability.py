@@ -29,10 +29,10 @@ from .errors import CrossCheckError, NotCentral, NotNilpotent, WrongDimension
 from .homology import (
     MultiplierReport,
     PairSpace,
-    _relation_vectors,
+    _tail_residues,
     multiplier_dimension,
 )
-from .linalg import nullspace, reduce_vector, rref, zero_vector
+from .linalg import nullspace
 
 
 def mono_criterion(L: Superalgebra, K: GradedSubspace) -> bool:
@@ -74,23 +74,20 @@ class EpicenterReport:
 
 def _epicenter_subspace(L: Superalgebra) -> GradedSubspace:
     ps = PairSpace.of(L)
-    im_rows, im_piv = rref(_relation_vectors(L, ps))
+    _, residues = _tail_residues(L, ps)
     total = L.dims.total
     rows = _ad_rows(L)  # centrality: [x, b_j] = 0 for all j
-    # lift condition: sum_i x_i s(i, j) lies in the relation span, each j
+    # lift condition: sum_i x_i s(i, j) reduces to zero modulo the relations,
+    # one equation in x per free tail, each j
     for j in range(total):
-        reduced = []
+        by_tail = {}
         for i in range(total):
             t = ps.signed_tail(L, i, j)
-            v = zero_vector(L.field, ps.dim)
             if t is not None:
                 idx, s = t
-                v[idx] = L.field.one if s == 1 else -L.field.one
-            reduced.append(reduce_vector(v, im_rows, im_piv))
-        for t in range(ps.dim):
-            row = [reduced[i][t] for i in range(total)]
-            if any(row):
-                rows.append(row)
+                for k, c in residues[idx].items():
+                    by_tail.setdefault(k, {})[i] = c if s == 1 else -c
+        rows.extend(by_tail.values())
     basis = nullspace(rows, total, L.field)
     return GradedSubspace.from_vectors(L.field, L.dims, basis)
 

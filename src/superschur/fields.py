@@ -84,14 +84,37 @@ class Mod:
         return str(self.val)
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly below
+# MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017). The primes up to 37 alone are fooled by
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises BadField at or above MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= MR_LIMIT:
+        raise BadField(f"cannot decide whether {p} is prime: the test is exact "
+                       f"only below {MR_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

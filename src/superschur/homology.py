@@ -28,7 +28,7 @@ from .algebra import (
     is_nilpotent,
 )
 from .errors import NotNilpotent
-from .linalg import LinearMap, mat_rank, reduce_vector, rref, zero_vector
+from .linalg import LinearMap, mat_rank, rref, zero_vector
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,16 @@ class TripleSpace:
 def boundary2(L: Superalgebra, pspace: PairSpace | None = None) -> LinearMap:
     """Pair (i, j) -> [b_i, b_j]; its rank is dim L^2."""
     ps = pspace or PairSpace.of(L)
-    total = L.dims.total
-    z = L.field.zero
     cols = []
     for (i, j) in ps.pairs:
-        t = L.bracket_basis(i, j)
-        cols.append(t if t is not None else (z,) * total)
-    rows = tuple(tuple(cols[c][r] for c in range(ps.dim)) for r in range(total))
-    return LinearMap(L.field, rows)
+        t = L.bracket_basis(i, j) or ()
+        cols.append({k: c for k, c in enumerate(t) if c})
+    return LinearMap(L.field, L.dims.total, tuple(cols))
 
 
 def relations3(L: Superalgebra, pspace: PairSpace | None = None,
                tspace: TripleSpace | None = None) -> LinearMap:
-    """Jacobi-defect tail vectors, one column per canonical triple.
+    """Jacobi-defect tail vectors, one sparse column per canonical triple.
 
     For the triple (x, y, z) the column collects the tails of
     [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] in the tail extension,
@@ -119,42 +116,43 @@ def relations3(L: Superalgebra, pspace: PairSpace | None = None,
     """
     ps = pspace or PairSpace.of(L)
     ts = tspace or TripleSpace.of(L)
-    z = L.field.zero
-    minus_one = L.field.of(-1)
+    zero = L.field.zero
+
+    def add_tails(col, t, sign, fixed, fixed_first):
+        """col += sign * sum_l t_l s(fixed, l), or s(l, fixed), for a bracket t of L."""
+        if t is None:
+            return
+        for l, c in enumerate(t):
+            if c:
+                st = ps.signed_tail(L, fixed, l) if fixed_first else ps.signed_tail(L, l, fixed)
+                if st is not None:
+                    idx, s = st
+                    prev = col.get(idx, zero)
+                    col[idx] = prev + c if s * sign == 1 else prev - c
+
     cols = []
-    for (x, y, z_i) in ts.triples:
-        col = [z] * ps.dim
-
-        def add_tail(a, b, coeff):
-            t = ps.signed_tail(L, a, b)
-            if t is not None:
-                idx, s = t
-                col[idx] = col[idx] + (coeff if s == 1 else -coeff)
-
-        t = L.bracket_basis(y, z_i)
-        if t is not None:
-            for l, c in enumerate(t):
-                if c:
-                    add_tail(x, l, c)
-        t = L.bracket_basis(x, y)
-        if t is not None:
-            for l, c in enumerate(t):
-                if c:
-                    add_tail(l, z_i, -c)
-        sgn = minus_one if (L.parity(x) and L.parity(y)) else L.field.one
-        t = L.bracket_basis(x, z_i)
-        if t is not None:
-            for l, c in enumerate(t):
-                if c:
-                    add_tail(y, l, -(sgn * c))
-        cols.append(col)
-    rows = tuple(tuple(cols[c][r] for c in range(ts.dim)) for r in range(ps.dim))
-    return LinearMap(L.field, rows)
+    for (x, y, z) in ts.triples:
+        col = {}
+        add_tails(col, L.bracket_basis(y, z), 1, x, True)
+        add_tails(col, L.bracket_basis(x, y), -1, z, False)
+        add_tails(col, L.bracket_basis(x, z), 1 if (L.parity(x) and L.parity(y)) else -1, y, True)
+        cols.append({idx: v for idx, v in col.items() if v})
+    return LinearMap(L.field, ps.dim, tuple(cols))
 
 
-def _relation_vectors(L: Superalgebra, ps: PairSpace) -> list[tuple]:
-    """The Jacobi-defect tail vectors, one per canonical triple."""
-    return list(zip(*relations3(L, ps).rows))
+def _tail_residues(L: Superalgebra, ps: PairSpace) -> tuple[list, list]:
+    """Each tail unit vector e_t modulo the relation span, read off its RREF.
+
+    The residue of e_t is e_t itself for a free column t and e_t minus its
+    pivot row otherwise; either way it lives on the free columns. Returns
+    (free columns, residues), residues[t] a {free column: scalar} dict.
+    """
+    rows, pivots = rref(relations3(L, ps).columns)
+    residues = [{t: L.field.one} for t in range(ps.dim)]
+    for row, p in zip(rows, pivots):
+        residues[p] = {k: -x for k, x in row.items() if k != p}
+    free = sorted(set(range(ps.dim)).difference(pivots))
+    return free, residues
 
 
 def gamma_in_scope(L: Superalgebra, dim_derived: int) -> bool:
@@ -188,7 +186,7 @@ def multiplier_dimension(L: Superalgebra) -> MultiplierReport:
     t0 = time.perf_counter()
     ps = PairSpace.of(L)
     dim_derived = derived_subspace(L).dim.total
-    rank_rel = mat_rank(_relation_vectors(L, ps))
+    rank_rel = mat_rank(relations3(L, ps).columns)
     dim_mult = ps.dim - dim_derived - rank_rel
     m, n = L.dims.even, L.dims.odd
     gamma = m + 2 * n - 2 - dim_mult if gamma_in_scope(L, dim_derived) else None
@@ -227,8 +225,7 @@ def tail_extension(L: Superalgebra) -> TailExtension:
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     ps = PairSpace.of(L)
-    im_rows, im_piv = rref(_relation_vectors(L, ps))
-    free = [t for t in range(ps.dim) if t not in set(im_piv)]
+    free, residues = _tail_residues(L, ps)
     free_even = [t for t in free if ps.parities[t] == EVEN]
     free_odd = [t for t in free if ps.parities[t] == 1]
     w0, w1 = len(free_even), len(free_odd)
@@ -245,7 +242,6 @@ def tail_extension(L: Superalgebra) -> TailExtension:
     def embed_l(idx):
         return idx if idx < m else dims_e.even + (idx - m)
 
-    z = L.field.zero
     entries = []
     for t_idx, (i, j) in enumerate(ps.pairs):
         vec = zero_vector(L.field, dims_e.total)
@@ -254,12 +250,8 @@ def tail_extension(L: Superalgebra) -> TailExtension:
             for k, c in enumerate(tl):
                 if c:
                     vec[embed_l(k)] = c
-        unit = zero_vector(L.field, ps.dim)
-        unit[t_idx] = L.field.one
-        red = reduce_vector(unit, im_rows, im_piv)
-        for t, c in enumerate(red):
-            if c:
-                vec[tail_pos[t]] = vec[tail_pos[t]] + c
+        for t, c in residues[t_idx].items():
+            vec[tail_pos[t]] = c
         if any(vec):
             entries.append(((embed_l(i), embed_l(j)), vec))
 
@@ -277,9 +269,7 @@ def tail_extension(L: Superalgebra) -> TailExtension:
         v[tail_pos[t]] = L.field.one
         kernel_vecs.append(v)
     kernel = GradedSubspace.from_vectors(L.field, dims_e, kernel_vecs)
-    proj_rows = []
+    proj_cols = [{} for _ in range(dims_e.total)]
     for r in range(L.dims.total):
-        row = [z] * dims_e.total
-        row[embed_l(r)] = L.field.one
-        proj_rows.append(tuple(row))
-    return TailExtension(ext, kernel, LinearMap(L.field, tuple(proj_rows)))
+        proj_cols[embed_l(r)] = {r: L.field.one}
+    return TailExtension(ext, kernel, LinearMap(L.field, L.dims.total, tuple(proj_cols)))

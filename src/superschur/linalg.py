@@ -1,12 +1,18 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p.
 
-Vectors are tuples (or lists) of field scalars, matrices are sequences of
-row sequences. Rank, nullspaces and reduction all rest on one primitive,
-exact Gauss-Jordan elimination (`rref`), which is valid over any field.
+A row is either a dense sequence of field scalars or a sparse
+`{column: scalar}` dict. Rank, reduced row echelon form, nullspaces and
+reduction all rest on one primitive, an exact sparse echelon valid over any
+field: forward elimination on leading columns, with back-substitution to
+the canonical form only where the reduced rows are asked for. The matrices
+this package eliminates (Jacobi relations, adjoint systems) are almost
+empty, so the work follows their nonzeros, never their shape.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
@@ -18,115 +24,168 @@ def zero_vector(field: Field, n: int) -> list:
     return [z] * n
 
 
-def vec_is_zero(u) -> bool:
-    return not any(u)
+def _sparse(row) -> dict:
+    """A dense or sparse row as a fresh {column: scalar} dict without zeros."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if x}
+
+
+def _reduce(row: dict, echelon: dict) -> dict:
+    """Clear `row` in place at every pivot column of `echelon` and return it.
+
+    Each pivot row has a leading 1 and no entries left of it, so subtracting
+    the pivot row of column c only touches columns after c: the pivot
+    columns are cleared in increasing order, off a heap.
+    """
+    todo = [c for c in row if c in echelon]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        f = row.pop(c, None)
+        if f is None:  # cancelled already, or queued twice
+            continue
+        for k, x in echelon[c].items():
+            if k == c:
+                continue
+            if k in row:
+                v = row[k] - f * x
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+            else:
+                row[k] = -(f * x)
+                if k in echelon:
+                    heapq.heappush(todo, k)
+    return row
+
+
+def _echelon(rows, reduced: bool = False) -> dict:
+    """{pivot column: sparse row with a leading 1} spanning the row space.
+
+    Rows are taken sparsest first and reduced by the pivots found so far; a
+    nonzero remainder becomes the pivot of its leading column, so no row is
+    ever swapped or revisited (the pivot handling of Faugere-Lachartre).
+    With `reduced`, back-substitution from the last pivot clears every
+    pivot column above and below, giving the canonical form.
+    """
+    echelon = {}
+    for row in sorted(map(_sparse, rows), key=len):
+        row = _reduce(row, echelon)
+        if row:
+            c = min(row)
+            lead = row[c]
+            echelon[c] = {k: x / lead for k, x in row.items()}
+    if reduced:
+        for c in sorted(echelon, reverse=True):
+            row = echelon[c]
+            lead = row.pop(c)
+            echelon[c] = {c: lead, **_reduce(row, echelon)}
+    return echelon
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form: (pivot rows, pivot columns).
 
-    Returns (pivot_rows, pivot_columns); zero rows are dropped, leading
-    entries are 1 and pivot columns are cleared above and below, so the
-    result is the canonical representation of the row space.
+    Zero rows are dropped, leading entries are 1 and pivot columns are
+    cleared above and below, so the result is the canonical representation
+    of the row space. Pivot rows come back as tuples for dense input rows
+    and as {column: scalar} dicts for sparse ones.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    rows = list(rows)
+    echelon = _echelon(rows, reduced=True)
+    pivots = sorted(echelon)
+    out = [echelon[c] for c in pivots]
+    if out and not isinstance(rows[0], dict):
+        z = 0 * out[0][pivots[0]]
+        out = [tuple(r.get(k, z) for k in range(len(rows[0]))) for r in out]
+    return out, pivots
 
 
 def mat_rank(rows) -> int:
     """Exact rank, over any field."""
-    return len(rref(rows)[0])
+    return len(_echelon(rows))
 
 
 def nullspace(rows, ncols: int, field: Field) -> list[tuple]:
     """Basis of the right kernel, one vector per free column."""
-    rr, piv = rref(rows)
-    pivset = set(piv)
-    basis = []
+    echelon = _echelon(rows, reduced=True)
+    basis = {}
     for f in range(ncols):
-        if f in pivset:
-            continue
-        v = zero_vector(field, ncols)
-        v[f] = field.one
-        for row, p in zip(rr, piv):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+        if f not in echelon:
+            basis[f] = zero_vector(field, ncols)
+            basis[f][f] = field.one
+    for p, row in echelon.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def reduce_vector(vec, pivot_rows, pivots):
-    """Reduce vec modulo the row space given by an rref basis."""
+    """Reduce a dense vector modulo the row space given by an rref basis."""
     v = list(vec)
     for row, p in zip(pivot_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
+        f = v[p]
+        if f:
+            for k, x in _sparse(row).items():
+                v[k] = v[k] - f * x
     return v
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix acting on coordinate columns: (codomain dim) x (domain dim)."""
+    """A (codomain dim) x (domain dim) matrix acting on coordinate columns.
+
+    It is stored as one sparse column per domain basis vector, a
+    {row: scalar} dict without zeros; `rows` is a dense view built on use.
+    """
 
     field: Field
-    rows: tuple  # tuple of row tuples, len(rows) = codomain dim
-
-    @property
-    def codomain_dim(self) -> int:
-        return len(self.rows)
+    codomain_dim: int
+    columns: tuple
 
     @property
     def domain_dim(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.columns)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        z = self.field.zero
+        return tuple(tuple(col.get(r, z) for col in self.columns)
+                     for r in range(self.codomain_dim))
 
     def apply(self, vec):
         if len(vec) != self.domain_dim:
             raise DimensionMismatch(
                 f"vector of length {len(vec)} fed to map with domain {self.domain_dim}"
             )
-        return [sum((r[j] * vec[j] for j in range(len(vec)) if vec[j]), self.field.zero)
-                for r in self.rows]
+        out = zero_vector(self.field, self.codomain_dim)
+        for x, col in zip(vec, self.columns):
+            if x:
+                for r, c in col.items():
+                    out[r] = out[r] + c * x
+        return out
 
     def column(self, j: int) -> list:
-        return [r[j] for r in self.rows]
+        z = self.field.zero
+        return [self.columns[j].get(r, z) for r in range(self.codomain_dim)]
 
     def rank(self) -> int:
-        return mat_rank(self.rows)
+        return mat_rank(self.columns)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain_dim != self.domain_dim:
             raise DimensionMismatch("composition shape mismatch")
-        z = self.field.zero
-        out = []
-        for r in self.rows:
-            nz = [j for j, x in enumerate(r) if x]
-            out.append(tuple(
-                sum((r[j] * other.rows[j][c] for j in nz), z)
-                for c in range(other.domain_dim)
-            ))
-        return LinearMap(self.field, tuple(out))
+        cols = []
+        for col in other.columns:
+            out = {}
+            for j, x in col.items():
+                for r, c in self.columns[j].items():
+                    out[r] = out[r] + c * x if r in out else c * x
+            cols.append({r: v for r, v in out.items() if v})
+        return LinearMap(self.field, self.codomain_dim, tuple(cols))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(self.columns)

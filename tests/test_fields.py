@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
+import superschur
 from superschur.errors import BadField
-from superschur.fields import Field, Mod, RATIONALS
+from superschur.fields import MR_LIMIT, Field, Mod, RATIONALS, _is_prime
 
 
 def test_rationals_basics():
@@ -74,3 +80,30 @@ def test_mod_hashes_like_the_int_it_equals():
     assert Mod(1, 5) == 1
     assert {Mod(1, 5): 0}[1] == 0
     assert {1: 0}[Mod(6, 5)] == 0
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(10**4) if _is_prime(n)] == list(sympy.primerange(10**4))
+
+
+@pytest.mark.parametrize("n", [561, 41041, 825265, 3215031751,
+                               318665857834031151167461])
+def test_pseudoprimes_rejected(n):
+    # Carmichael numbers, the least strong pseudoprime to bases 2..7, and
+    # the least one to bases 2..37
+    assert not _is_prime(n)
+    with pytest.raises(BadField, match="not prime"):
+        Field(n)
+
+
+def test_primality_beyond_the_exact_range_is_refused():
+    q = sympy.nextprime(MR_LIMIT)
+    with pytest.raises(BadField, match=str(MR_LIMIT)):
+        Field(q)
+
+
+def test_large_prime_field_is_quick():
+    src = str(Path(superschur.__file__).resolve().parents[1])
+    code = "from superschur.fields import Field; assert Field(2**61 - 1).p == 2**61 - 1"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=10,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from superschur import (
     TripleSpace,
     abelian,
     boundary2,
+    center,
     derived_subspace,
+    epicenter,
     get,
     heisenberg3,
     multiplier_dimension,
@@ -198,6 +201,27 @@ def test_multiplier_matches_over_f5():
         q = multiplier_dimension(get(name)).dim_multiplier
         f = multiplier_dimension(get(name, Field(5))).dim_multiplier
         assert q == f, name
+
+
+def test_chain_1_20_over_q():
+    """The (1|20) chain [e1, f_{k+1}] = f_k: its relation matrix is 230 x 1750
+    with 380 nonzeros, so sparse elimination answers in well under a second."""
+    n = 20
+    entries = []
+    for k in range(1, n):
+        target = [0] * (1 + n)
+        target[k] = 1
+        entries.append(((0, 1 + k), target))
+    L = Superalgebra.from_entries(RATIONALS, SuperDim(1, n), entries, name="chain20")
+    t0 = time.perf_counter()
+    rep = multiplier_dimension(L)
+    epi = epicenter(L)  # raises CrossCheckError if the two criteria disagree
+    elapsed = time.perf_counter() - t0
+    assert (rep.dim_derived, rep.dim_multiplier) == (19, 11)
+    assert epi.epicenter.dim.total == 0 and epi.capable
+    assert len(epi.per_generator) == center(L).dim.total == 1
+    assert not epi.per_generator[0].mono and not epi.per_generator[0].in_epicenter
+    assert elapsed < 1.0, f"multiplier and epicenter took {elapsed:.2f} s"
 
 
 # --- basis change invariance ------------------------------------------------

@@ -89,9 +89,78 @@ def test_rank_matches_sympy_mod_5(rows):
     assert ours == theirs
 
 
+@st.composite
+def sparse_rows(draw):
+    """(ncols, rows as {column: int} dicts, some of the values zero).
+
+    The rows include zero rows, duplicates and rows whose only nonzero
+    entry is in column 0: a dict {0: x} is falsy under `any()`.
+    """
+    ncols = draw(st.integers(1, 7))
+    value = st.integers(-4, 4)
+    row = st.one_of(
+        st.dictionaries(st.integers(0, ncols - 1), value, max_size=4),
+        st.just({}),
+        value.map(lambda x: {0: x}),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows.append(dict(rows[i]))
+    return ncols, draw(st.permutations(rows))
+
+
+def _check_against_sympy(ncols, rows, field, theirs):
+    """rref, mat_rank and nullspace of dense and sparse forms of `rows`
+    against sympy's canonical RREF (rows, pivots) over the same field."""
+    dense = [[field.of(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    sparse = [{c: field.of(x) for c, x in r.items()} for r in rows]
+    want_rows, want_piv = theirs
+    rank = len(want_piv)
+    want = [tuple(field.of(x) for x in row) for row in want_rows[:rank]]
+
+    got_rows, got_piv = rref(dense)
+    assert got_piv == list(want_piv) and got_rows == want
+    got_rows, got_piv = rref(sparse)
+    assert got_piv == list(want_piv)
+    assert got_rows == [{c: x for c, x in enumerate(row) if x} for row in want]
+    assert mat_rank(dense) == mat_rank(sparse) == rank
+
+    for form in (dense, sparse):
+        basis = nullspace(form, ncols, field)
+        assert len(basis) == ncols - rank
+        for v in basis:
+            for r in dense:
+                assert not sum((a * b for a, b in zip(r, v)), field.zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+def test_kernel_matches_sympy_rref_over_q(case):
+    ncols, rows = case
+    m = sp.Matrix([[r.get(c, 0) for c in range(ncols)] for r in rows])
+    rr, piv = m.rref()
+    listed = [[str(x) for x in row] for row in rr.tolist()]  # sympy Rationals
+    _check_against_sympy(ncols, rows, RATIONALS, (listed, piv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+def test_kernel_matches_sympy_rref_mod_5(case):
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    ncols, rows = case
+    m = sp.Matrix([[r.get(c, 0) for c in range(ncols)] for r in rows])
+    rr, piv = DomainMatrix.from_Matrix(m).convert_to(GF(5)).rref()
+    listed = [[int(x) for x in row] for row in rr.to_Matrix().tolist()]
+    _check_against_sympy(ncols, rows, Field(5), (listed, piv))
+
+
 def test_linear_map_apply_and_compose():
-    a = LinearMap(RATIONALS, ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))))
-    b = LinearMap(RATIONALS, ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1))))
+    # a = [[1, 2], [0, 1]] and b = [[1, 0], [-1, 1]], given by their columns
+    a = LinearMap(RATIONALS, 2, ({0: Fraction(1)}, {0: Fraction(2), 1: Fraction(1)}))
+    b = LinearMap(RATIONALS, 2, ({0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(1)}))
+    assert a.rows == ((1, 2), (0, 1)) and b.rows == ((1, 0), (-1, 1))
     v = [Fraction(1), Fraction(1)]
     assert a.apply(v) == [Fraction(3), Fraction(1)]
     ab = a.compose(b)
