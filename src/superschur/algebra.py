@@ -495,18 +495,33 @@ def center(L: Superalgebra) -> GradedSubspace:
 def quotient(L: Superalgebra, ideal: GradedSubspace):
     """Quotient by a graded ideal, on the complement of its pivot coordinates.
 
-    Returns (quotient superalgebra, projection LinearMap). Surviving basis
-    vectors keep their labels.
+    K is an ideal when [v, b_j] lies in K for every rref basis vector v of
+    K and every basis vector b_j, since these span [L, K]; otherwise
+    NotAnIdeal is raised. Each [v, b_j] is summed over v's support, and
+    membership is tested only when it is nonzero, so a central K needs no
+    elimination. Returns (quotient superalgebra, projection LinearMap).
+    Surviving basis vectors keep their labels.
     """
     if ideal.dims != L.dims:
         raise DimensionMismatch("ideal does not live in this superalgebra")
-    full = GradedSubspace.full(L.field, L.dims)
-    if not ideal.contains(product_subspace(L, full, ideal)):
-        raise NotAnIdeal("subspace is not closed under bracketing with the algebra")
-    m = L.dims.even
     rows = ideal.full_vectors()
+    act = L.active_indices()
+    zero = L.field.zero
+    for v in rows:
+        support = [(i, v[i]) for i in act if v[i]]  # an index with zero adjoint adds nothing
+        if not support:
+            continue
+        for j in act:
+            img = [zero] * L.dims.total
+            for i, c in support:
+                for k, x in enumerate(L.bracket_basis(i, j) or ()):
+                    if x:
+                        img[k] = img[k] + c * x
+            if any(img) and not ideal.contains_vector(img):
+                raise NotAnIdeal("subspace is not closed under bracketing with the algebra")
+    m = L.dims.even
     pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    keep = [i for i in range(L.dims.total) if i not in set(pivots)]
+    keep = sorted(set(range(L.dims.total)) - set(pivots))
     pos = {b: t for t, b in enumerate(keep)}
     new_m = sum(1 for i in keep if i < m)
     new_dims = SuperDim(new_m, len(keep) - new_m)
@@ -516,11 +531,8 @@ def quotient(L: Superalgebra, ideal: GradedSubspace):
         return [red[b] for b in keep]
 
     entries = []
-    for a_idx, i in enumerate(keep):
-        for j in keep[a_idx:]:
-            t = L.bracket_basis(i, j)
-            if t is None or not any(t):
-                continue
+    for (i, j), t in sorted(L.table.items()):
+        if i in pos and j in pos:
             img = project(t)
             if any(img):
                 entries.append(((pos[i], pos[j]), img))

@@ -160,7 +160,7 @@ class Field:
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, int):
-            value = Fraction(value)
+            return Fraction(value) if self.p is None else Mod(value, self.p)
         if not isinstance(value, Fraction):
             raise BadField(f"cannot interpret {value!r} as a {self} scalar")
         if self.p is None:

@@ -1,8 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from superschur import (
     GradedSubspace,
@@ -34,6 +35,7 @@ from superschur.errors import (
     NotAnIdeal,
     NotGraded,
 )
+from superschur.verifier import ScanConfig, generate_nilpotent
 from superschur.fields import Field, RATIONALS
 
 D22 = SuperDim(2, 2)
@@ -335,6 +337,76 @@ def test_quotient_requires_ideal():
     bad = GradedSubspace.from_vectors(RATIONALS, D22, [_vec(4, i3=1)])
     with pytest.raises(NotAnIdeal):
         quotient(L, bad)
+
+
+def test_quotient_rejects_an_image_combining_two_active_indices():
+    L = get("(2|3)_23")  # [e1, f2] = f1, [e1, f3] = f2: both f2 and f3 are active
+    v = _vec(5, i3=1, i4=1)
+    assert bracket(L, v, _vec(5, i0=1)) == _vec(5, i2=-1, i3=-1)
+    bad = GradedSubspace.from_vectors(RATIONALS, L.dims, [v])
+    with pytest.raises(NotAnIdeal):
+        quotient(L, bad)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(5)])
+def test_quotient_accepts_a_non_central_ideal(field):
+    L = get("(2|3)_22", field)  # L^2 = <e2, f1, f2>, and [e1, f2] = f1
+    k = derived_subspace(L)
+    assert not center(L).contains(k)
+    q, proj = quotient(L, k)
+    assert q.dims == SuperDim(1, 1) and q.is_abelian()
+    assert all(not any(proj.apply(v)) for v in k.full_vectors())
+
+
+@functools.cache
+def _catalog_and_rational_scan():
+    """Catalog entries over Q and F_5, and default-size scan instances over Q."""
+    f5 = Field(5)
+    scan_q = generate_nilpotent(ScanConfig(field=RATIONALS, samples=40))
+    return [get(n) for n in names()] + [get(n, f5) for n in names()] + list(scan_q)
+
+
+@st.composite
+def _candidate_subspace(draw, L):
+    """A random graded span of 1-3 homogeneous vectors, an LCS term, L^2 or Z(L)."""
+    kind = draw(st.sampled_from(["span", "span", "lcs", "derived", "center"]))
+    if kind == "lcs":
+        return draw(st.sampled_from(lower_central_series(L)))
+    if kind == "derived":
+        return derived_subspace(L)
+    if kind == "center":
+        return center(L)
+    m, total = L.dims.even, L.dims.total
+    blocks = [b for b in ((0, m), (m, total)) if b[0] < b[1]]
+    vecs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = draw(st.sampled_from(blocks))
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                               min_size=hi - lo, max_size=hi - lo))
+        v = [L.field.zero] * total
+        for k, c in enumerate(coeffs):
+            v[lo + k] = L.field.of(c)
+        vecs.append(v)
+    return GradedSubspace.from_vectors(L.field, L.dims, vecs)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_quotient_closure_matches_the_product_rule(scan_instances, data):
+    inputs = _catalog_and_rational_scan() + scan_instances
+    L = inputs[data.draw(st.integers(0, len(inputs) - 1))]
+    k = data.draw(_candidate_subspace(L))
+    full = GradedSubspace.full(L.field, L.dims)
+    if not k.contains(product_subspace(L, full, k)):
+        event("rejected")
+        with pytest.raises(NotAnIdeal):
+            quotient(L, k)
+        return
+    event("central" if center(L).contains(k) else "non-central ideal")
+    q, proj = quotient(L, k)
+    assert validate(q).ok
+    assert all(not any(proj.apply(v)) for v in k.full_vectors())
+    assert q.dims.total == L.dims.total - k.dim.total
 
 
 def test_quotient_validates_for_catalog_central_lines():

@@ -21,6 +21,24 @@ def test_rationals_basics():
     assert RATIONALS.zero == 0 and RATIONALS.one == 1
 
 
+INT_SAMPLES = [*range(-50, 51), 2 ** 70, -2 ** 70, True, False]
+
+
+@pytest.mark.parametrize("p", [5, 7, 2 ** 61 - 1])
+def test_of_int_is_a_mod_equal_to_the_fraction_path(p):
+    F = Field(p)
+    for k in INT_SAMPLES:
+        x = F.of(k)
+        assert type(x) is Mod and x.p == p and type(x.val) is int
+        assert x == F.of(Fraction(k)) and x.val == k % p
+
+
+def test_rationals_of_int_is_a_fraction():
+    for k in INT_SAMPLES:
+        x = RATIONALS.of(k)
+        assert type(x) is Fraction and x == k
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 9, 15])
 def test_bad_characteristic_rejected(p):
     with pytest.raises(BadField):

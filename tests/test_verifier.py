@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from superschur import (
@@ -37,6 +38,16 @@ def test_generator_is_deterministic():
     a = [serialize(L) for L in generate_nilpotent(cfg)]
     b = [serialize(L) for L in generate_nilpotent(cfg)]
     assert a == b
+
+
+# sha256 of the default scan's presentations, as generated when this pin was
+# set. Speed work on the generator's path must keep its instances unchanged.
+DEFAULT_SCAN_SHA256 = "2397b8bee31831eba89864b63b03e2d724ae21ca21ebaaeb4deb8e103fb7c2d4"
+
+
+def test_default_scan_instances_are_pinned(scan_instances):
+    text = "".join(serialize(L) for L in scan_instances)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SCAN_SHA256
 
 
 def test_generator_seeds_differ():
