@@ -2,8 +2,6 @@
 finite-dimensional nilpotent Lie superalgebras."""
 
 from .algebra import (
-    BasisVector,
-    BracketTable,
     GradedSubspace,
     SuperDim,
     Superalgebra,
@@ -57,10 +55,10 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisVector", "BracketTable", "EpicenterReport", "Field", "Finding",
-    "GammaVerdict", "GradedSubspace", "Mod", "MultiplierReport", "PairSpace",
-    "RATIONALS", "ScanConfig", "SuperDim", "Superalgebra", "SuperschurError",
-    "TailExtension", "TripleSpace", "ValidationReport", "abelian", "boundary2",
+    "EpicenterReport", "Field", "Finding", "GammaVerdict", "GradedSubspace",
+    "Mod", "MultiplierReport", "PairSpace", "RATIONALS", "ScanConfig",
+    "SuperDim", "Superalgebra", "SuperschurError", "TailExtension",
+    "TripleSpace", "ValidationReport", "abelian", "boundary2",
     "bracket", "center", "check_bounds", "complete_table", "component_series",
     "derived_subspace", "direct_sum", "emit_report", "epicenter", "family_4_2",
     "gamma", "generate_nilpotent", "get", "heisenberg3", "is_nilpotent", "load",

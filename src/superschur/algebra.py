@@ -30,13 +30,7 @@ from .errors import (
     NotGraded,
 )
 from .fields import Field
-from .linalg import (
-    LinearMap,
-    nullspace,
-    reduce_vector,
-    rref,
-    zero_vector,
-)
+from .linalg import _sparse, nullspace, reduce_vector, rref, zero_vector
 
 EVEN = 0
 ODD = 1
@@ -55,13 +49,6 @@ class SuperDim:
         return f"({self.even}|{self.odd})"
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    index: int
-    parity: int
-    label: str
-
-
 def default_labels(dims: SuperDim) -> list[str]:
     return [f"e{i + 1}" for i in range(dims.even)] + [f"f{j + 1}" for j in range(dims.odd)]
 
@@ -71,29 +58,9 @@ def _sign(pi: int, pj: int) -> int:
     return 1 if (pi and pj) else -1
 
 
-class BracketTable:
-    """Canonical nonzero bracket entries, pair (i, j) -> coordinate tuple."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict):
-        self.entries = dict(entries)
-
-    def items(self):
-        return self.entries.items()
-
-    def get(self, pair):
-        return self.entries.get(pair)
-
-    def __eq__(self, other):
-        return isinstance(other, BracketTable) and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def complete_table(field: Field, dims: SuperDim, entries) -> BracketTable:
-    """Canonicalize sparse bracket input into a BracketTable.
+def complete_table(field: Field, dims: SuperDim, entries) -> dict:
+    """Canonicalize sparse bracket input into the table of nonzero
+    canonical entries, pair (i, j) -> coordinate tuple.
 
     Pairs listed in the wrong order are rewritten with the super-skew
     sign; duplicates must agree; targets must respect the grading.
@@ -133,12 +100,12 @@ def complete_table(field: Field, dims: SuperDim, entries) -> BracketTable:
                 raise ConflictingEntry(f"pair ({i}, {j}) given twice with different values")
             continue
         seen[(i, j)] = coords
-    return BracketTable({p: v for p, v in seen.items() if any(v)})
+    return {p: v for p, v in seen.items() if any(v)}
 
 
 @dataclass(frozen=True)
 class Superalgebra:
-    """A Lie superalgebra by its bracket table.
+    """A Lie superalgebra by its bracket table and its basis labels.
 
     Invariants are memoized on the instance (see `_per_algebra`), so the
     table must never be mutated after construction.
@@ -146,8 +113,8 @@ class Superalgebra:
 
     field: Field
     dims: SuperDim
-    basis: tuple
-    table: BracketTable
+    labels: tuple
+    table: dict
     name: str = ""
     _facts: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -156,17 +123,13 @@ class Superalgebra:
         labels = list(labels) if labels is not None else default_labels(dims)
         if len(labels) != dims.total or len(set(labels)) != dims.total:
             raise DimensionMismatch("need one distinct label per basis vector")
-        basis = tuple(
-            BasisVector(i, EVEN if i < dims.even else ODD, labels[i])
-            for i in range(dims.total)
-        )
-        return cls(field, dims, basis, complete_table(field, dims, entries), name)
+        return cls(field, dims, tuple(labels), complete_table(field, dims, entries), name)
 
     def parity(self, i: int) -> int:
         return EVEN if i < self.dims.even else ODD
 
     def label(self, i: int) -> str:
-        return self.basis[i].label
+        return self.labels[i]
 
     def bracket_basis(self, i: int, j: int):
         """[b_i, b_j] as a dense coordinate tuple (signed canonical lookup)."""
@@ -185,7 +148,7 @@ class Superalgebra:
     def active_indices(self) -> list[int]:
         """Indices whose adjoint action is not identically zero."""
         act = set()
-        for (i, j) in self.table.entries:
+        for (i, j) in self.table:
             act.add(i)
             act.add(j)
         return sorted(act)
@@ -315,89 +278,71 @@ def validate(L: Superalgebra) -> ValidationReport:
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A graded subspace in canonical form: one rref basis per parity block.
+    """A graded subspace in canonical form: its reduced row echelon basis
+    {pivot column: {column: scalar}} over all m+n coordinates.
 
-    Even rows live in the first `dims.even` coordinates, odd rows in the
-    last `dims.odd`. Reduced form is unique, so equality of subspaces is
-    dataclass equality.
+    Every spanning vector is homogeneous, so no row mixes the even and odd
+    blocks. Reduced form is unique, so equality of subspaces is dataclass
+    equality.
     """
 
     field: Field
     dims: SuperDim
-    even_rows: tuple
-    odd_rows: tuple
+    echelon: dict
 
     @classmethod
     def from_vectors(cls, field, dims, vectors) -> "GradedSubspace":
         m = dims.even
-        ev, od = [], []
+        rows = []
         for v in vectors:
             if len(v) != dims.total:
                 raise DimensionMismatch("subspace vector has wrong length")
-            head, tail = list(v[:m]), list(v[m:])
-            he, ho = any(head), any(tail)
-            if he and ho:
+            row = _sparse(v)
+            if row and (min(row) < m) != (max(row) < m):
                 raise NotGraded(f"vector {list(v)} is not parity homogeneous")
-            if he:
-                ev.append(head)
-            elif ho:
-                od.append(tail)
-        er, _ = rref(ev)
-        orr, _ = rref(od)
-        return cls(field, dims, tuple(er), tuple(orr))
+            rows.append(row)
+        return cls._span(field, dims, rows)
+
+    @classmethod
+    def _span(cls, field, dims, rows) -> "GradedSubspace":
+        """The span of homogeneous sparse rows."""
+        pivot_rows, pivots = rref(rows)
+        return cls(field, dims, dict(zip(pivots, pivot_rows)))
 
     @classmethod
     def zero(cls, field, dims) -> "GradedSubspace":
-        return cls(field, dims, (), ())
+        return cls(field, dims, {})
 
     @classmethod
     def full(cls, field, dims) -> "GradedSubspace":
-        one, z = field.one, field.zero
-        ev = tuple(tuple(one if i == k else z for i in range(dims.even))
-                   for k in range(dims.even))
-        od = tuple(tuple(one if i == k else z for i in range(dims.odd))
-                   for k in range(dims.odd))
-        return cls(field, dims, ev, od)
+        return cls(field, dims, {k: {k: field.one} for k in range(dims.total)})
 
     @property
     def dim(self) -> SuperDim:
-        return SuperDim(len(self.even_rows), len(self.odd_rows))
+        even = sum(1 for c in self.echelon if c < self.dims.even)
+        return SuperDim(even, len(self.echelon) - even)
 
     def is_zero(self) -> bool:
-        return not self.even_rows and not self.odd_rows
+        return not self.echelon
 
     def full_vectors(self) -> list[tuple]:
-        """Basis vectors embedded in full (m+n)-coordinates, evens first."""
-        m, n = self.dims.even, self.dims.odd
+        """Basis vectors in full (m+n)-coordinates, in pivot order (evens first)."""
         z = self.field.zero
-        out = [tuple(r) + (z,) * n for r in self.even_rows]
-        out += [(z,) * m + tuple(r) for r in self.odd_rows]
-        return out
-
-    def _pivots(self, rows):
-        return [next(c for c, x in enumerate(r) if x) for r in rows]
+        return [tuple(self.echelon[c].get(k, z) for k in range(self.dims.total))
+                for c in sorted(self.echelon)]
 
     def contains_vector(self, v) -> bool:
-        m = self.dims.even
-        head, tail = list(v[:m]), list(v[m:])
-        if any(head):
-            head = reduce_vector(head, self.even_rows, self._pivots(self.even_rows))
-            if any(head):
-                return False
-        if any(tail):
-            tail = reduce_vector(tail, self.odd_rows, self._pivots(self.odd_rows))
-            if any(tail):
-                return False
-        return True
+        return not reduce_vector(v, self.echelon)
 
     def contains(self, other: "GradedSubspace") -> bool:
-        return all(self.contains_vector(v) for v in other.full_vectors())
+        return all(self.contains_vector(row) for row in other.echelon.values())
 
 
 def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     if a.dims != b.dims:
         raise DimensionMismatch("subspaces of different ambient spaces")
-    return GradedSubspace.from_vectors(a.field, a.dims, a.full_vectors() + b.full_vectors())
+    rows = list(a.echelon.values()) + list(b.echelon.values())
+    return GradedSubspace._span(a.field, a.dims, rows)
 
 
 def intersection_dim(a: GradedSubspace, b: GradedSubspace) -> int:
@@ -410,8 +355,9 @@ def product_subspace(L: Superalgebra, a: GradedSubspace, b: GradedSubspace) -> G
     if a.dims != L.dims or b.dims != L.dims:
         raise DimensionMismatch("subspace does not live in this superalgebra")
     vecs = []
+    bv = b.full_vectors()
     for u in a.full_vectors():
-        for v in b.full_vectors():
+        for v in bv:
             w = bracket(L, u, v)
             if any(w):
                 vecs.append(w)
@@ -421,7 +367,7 @@ def product_subspace(L: Superalgebra, a: GradedSubspace, b: GradedSubspace) -> G
 @_per_algebra
 def derived_subspace(L: Superalgebra) -> GradedSubspace:
     """L^2, the span of the table's values (each one is homogeneous)."""
-    return GradedSubspace.from_vectors(L.field, L.dims, L.table.entries.values())
+    return GradedSubspace.from_vectors(L.field, L.dims, L.table.values())
 
 
 @_per_algebra
@@ -442,17 +388,10 @@ def is_nilpotent(L: Superalgebra) -> bool:
 
 def component_series(L: Superalgebra):
     """The two descending component sequences, each driven by ad of the even part."""
-    z = L.field.zero
-    one = L.field.one
-    m, n = L.dims.even, L.dims.odd
-    even_part = GradedSubspace(
-        L.field, L.dims,
-        tuple(tuple(one if i == k else z for i in range(m)) for k in range(m)), (),
-    )
-    odd_part = GradedSubspace(
-        L.field, L.dims, (),
-        tuple(tuple(one if i == k else z for i in range(n)) for k in range(n)),
-    )
+    m, one = L.dims.even, L.field.one
+    even_part, odd_part = (
+        GradedSubspace(L.field, L.dims, {k: {k: one} for k in block})
+        for block in (range(m), range(m, L.dims.total)))
     out = []
     for start in (even_part, odd_part):
         series = [start]
@@ -492,23 +431,22 @@ def center(L: Superalgebra) -> GradedSubspace:
     return GradedSubspace.from_vectors(L.field, L.dims, basis)
 
 
-def quotient(L: Superalgebra, ideal: GradedSubspace):
+def quotient(L: Superalgebra, ideal: GradedSubspace) -> Superalgebra:
     """Quotient by a graded ideal, on the complement of its pivot coordinates.
 
     K is an ideal when [v, b_j] lies in K for every rref basis vector v of
     K and every basis vector b_j, since these span [L, K]; otherwise
     NotAnIdeal is raised. Each [v, b_j] is summed over v's support, and
     membership is tested only when it is nonzero, so a central K needs no
-    elimination. Returns (quotient superalgebra, projection LinearMap).
-    Surviving basis vectors keep their labels.
+    elimination. Each table value is reduced modulo K's echelon, which
+    leaves it on the surviving coordinates; they keep their labels.
     """
     if ideal.dims != L.dims:
         raise DimensionMismatch("ideal does not live in this superalgebra")
-    rows = ideal.full_vectors()
     act = L.active_indices()
     zero = L.field.zero
-    for v in rows:
-        support = [(i, v[i]) for i in act if v[i]]  # an index with zero adjoint adds nothing
+    for row in ideal.echelon.values():
+        support = [(i, row[i]) for i in act if i in row]  # an index with zero adjoint adds nothing
         if not support:
             continue
         for j in act:
@@ -520,31 +458,24 @@ def quotient(L: Superalgebra, ideal: GradedSubspace):
             if any(img) and not ideal.contains_vector(img):
                 raise NotAnIdeal("subspace is not closed under bracketing with the algebra")
     m = L.dims.even
-    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
-    keep = sorted(set(range(L.dims.total)) - set(pivots))
+    keep = sorted(set(range(L.dims.total)) - set(ideal.echelon))
     pos = {b: t for t, b in enumerate(keep)}
     new_m = sum(1 for i in keep if i < m)
     new_dims = SuperDim(new_m, len(keep) - new_m)
-
-    def project(vec):
-        red = reduce_vector(vec, rows, pivots)
-        return [red[b] for b in keep]
-
     entries = []
     for (i, j), t in sorted(L.table.items()):
         if i in pos and j in pos:
-            img = project(t)
-            if any(img):
+            red = reduce_vector(t, ideal.echelon)
+            if red:
+                img = [zero] * len(keep)
+                for k, x in red.items():
+                    img[pos[k]] = x
                 entries.append(((pos[i], pos[j]), img))
-    q = Superalgebra.from_entries(
+    return Superalgebra.from_entries(
         L.field, new_dims, entries,
         name=f"{L.name}/K" if L.name else "quotient",
         labels=[L.label(i) for i in keep],
     )
-    cols = (project(u) for u in GradedSubspace.full(L.field, L.dims).full_vectors())
-    proj = LinearMap(L.field, len(keep),
-                     tuple({r: x for r, x in enumerate(col) if x} for col in cols))
-    return q, proj
 
 
 def direct_sum(a: Superalgebra, b: Superalgebra) -> Superalgebra:

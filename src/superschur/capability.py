@@ -46,7 +46,7 @@ def mono_criterion(L: Superalgebra, K: GradedSubspace) -> bool:
     if not center(L).contains(K):
         raise NotCentral("K is not contained in the center")
     m_l = multiplier_dimension(L).dim_multiplier
-    h, _ = quotient(L, K)
+    h = quotient(L, K)
     m_h = multiplier_dimension(h).dim_multiplier
     k_in_sq = 1 if derived_subspace(L).contains(K) else 0
     return m_l == m_h - k_in_sq

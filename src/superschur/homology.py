@@ -198,13 +198,11 @@ def multiplier_dimension(L: Superalgebra) -> MultiplierReport:
 class TailExtension:
     """Central extension E of L by the surviving tails W.
 
-    `projection` maps E-coordinates onto L-coordinates; its kernel is W.
-    E^2 intersects W in a copy of the multiplier of L.
+    E/W is L again, and E^2 intersects W in a copy of the multiplier of L.
     """
 
     algebra: Superalgebra
     kernel: GradedSubspace
-    projection: LinearMap
 
 
 def _fresh_labels(existing, count, stem="t"):
@@ -263,13 +261,5 @@ def tail_extension(L: Superalgebra) -> TailExtension:
         L.field, dims_e, entries,
         name=f"E({L.name})" if L.name else "tail extension", labels=labels,
     )
-    kernel_vecs = []
-    for t in free:
-        v = zero_vector(L.field, dims_e.total)
-        v[tail_pos[t]] = L.field.one
-        kernel_vecs.append(v)
-    kernel = GradedSubspace.from_vectors(L.field, dims_e, kernel_vecs)
-    proj_cols = [{} for _ in range(dims_e.total)]
-    for r in range(L.dims.total):
-        proj_cols[embed_l(r)] = {r: L.field.one}
-    return TailExtension(ext, kernel, LinearMap(L.field, L.dims.total, tuple(proj_cols)))
+    kernel = {p: {p: L.field.one} for p in sorted(tail_pos.values())}
+    return TailExtension(ext, GradedSubspace(L.field, dims_e, kernel))

@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over Q and F_p.
 
 A row is either a dense sequence of field scalars or a sparse
-`{column: scalar}` dict. Rank, reduced row echelon form, nullspaces and
-reduction all rest on one primitive, an exact sparse echelon valid over any
-field: forward elimination on leading columns, with back-substitution to
-the canonical form only where the reduced rows are asked for. The matrices
-this package eliminates (Jacobi relations, adjoint systems) are almost
-empty, so the work follows their nonzeros, never their shape.
+`{column: scalar}` dict. Rank, reduced row echelon form and nullspaces rest
+on one primitive, an exact sparse echelon valid over any field: forward
+elimination on leading columns, with back-substitution to the canonical
+form only where the reduced rows are asked for. Reducing a vector modulo
+an echelon is the same `_reduce` that elimination runs on every row. The
+matrices this package eliminates (Jacobi relations, adjoint systems) are
+almost empty, so the work follows their nonzeros, never their shape.
 """
 
 from __future__ import annotations
@@ -122,15 +123,11 @@ def nullspace(rows, ncols: int, field: Field) -> list[tuple]:
     return [tuple(v) for v in basis.values()]
 
 
-def reduce_vector(vec, pivot_rows, pivots):
-    """Reduce a dense vector modulo the row space given by an rref basis."""
-    v = list(vec)
-    for row, p in zip(pivot_rows, pivots):
-        f = v[p]
-        if f:
-            for k, x in _sparse(row).items():
-                v[k] = v[k] - f * x
-    return v
+def reduce_vector(vec, echelon: dict) -> dict:
+    """A dense or sparse vector modulo an echelon {pivot column: row with a
+    leading 1}, as a fresh sparse remainder without pivot columns; it is
+    empty exactly when the vector lies in the row space."""
+    return _reduce(_sparse(vec), echelon)
 
 
 @dataclass(frozen=True)
@@ -154,22 +151,6 @@ class LinearMap:
         z = self.field.zero
         return tuple(tuple(col.get(r, z) for col in self.columns)
                      for r in range(self.codomain_dim))
-
-    def apply(self, vec):
-        if len(vec) != self.domain_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(vec)} fed to map with domain {self.domain_dim}"
-            )
-        out = zero_vector(self.field, self.codomain_dim)
-        for x, col in zip(vec, self.columns):
-            if x:
-                for r, c in col.items():
-                    out[r] = out[r] + c * x
-        return out
-
-    def column(self, j: int) -> list:
-        z = self.field.zero
-        return [self.columns[j].get(r, z) for r in range(self.codomain_dim)]
 
     def rank(self) -> int:
         return mat_rank(self.columns)

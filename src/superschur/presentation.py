@@ -218,7 +218,7 @@ def serialize(L: Superalgebra) -> str:
     lines.append("field Q" if L.field.is_rational else f"field F {L.field.p}")
     lines.append(("even " + " ".join(L.label(i) for i in range(L.dims.even))).rstrip())
     lines.append(("odd " + " ".join(L.label(i) for i in range(L.dims.even, L.dims.total))).rstrip())
-    for (i, j) in sorted(L.table.entries):
+    for (i, j) in sorted(L.table):
         coords = L.table.get((i, j))
         parts = ""
         first = True

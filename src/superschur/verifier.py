@@ -91,26 +91,16 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int) -> Superalge
     keep1 = rng.randint(0, min(w.odd, room1)) if min(w.odd, room1) > 0 else 0
     kill_even = _random_full_rank(rng, L.field, w.even, w.even - keep0)
     kill_odd = _random_full_rank(rng, L.field, w.odd, w.odd - keep1)
-    w_even = ext.kernel.full_vectors()[: w.even]
-    w_odd = ext.kernel.full_vectors()[w.even:]
+    tails = ext.kernel.full_vectors()
     vecs = []
-    for row in kill_even:
-        v = zero_vector(L.field, E.dims.total)
-        for c, coeff in enumerate(row):
-            if coeff:
-                base = w_even[c]
-                v = [a + coeff * b for a, b in zip(v, base)]
-        vecs.append(v)
-    for row in kill_odd:
-        v = zero_vector(L.field, E.dims.total)
-        for c, coeff in enumerate(row):
-            if coeff:
-                base = w_odd[c]
-                v = [a + coeff * b for a, b in zip(v, base)]
-        vecs.append(v)
-    ideal = GradedSubspace.from_vectors(L.field, E.dims, vecs)
-    result, _ = quotient(E, ideal)
-    return result
+    for kill, block in ((kill_even, tails[: w.even]), (kill_odd, tails[w.even:])):
+        for row in kill:
+            v = zero_vector(L.field, E.dims.total)
+            for coeff, base in zip(row, block):
+                if coeff:
+                    v = [a + coeff * b for a, b in zip(v, base)]
+            vecs.append(v)
+    return quotient(E, GradedSubspace.from_vectors(L.field, E.dims, vecs))
 
 
 def generate_nilpotent(config: ScanConfig):
@@ -126,7 +116,7 @@ def generate_nilpotent(config: ScanConfig):
         L = abelian(m0, n0, config.field)
         for _ in range(config.depth):
             L = _extend_once(rng, L, config.max_even, config.max_odd)
-        L = Superalgebra(L.field, L.dims, L.basis, L.table,
+        L = Superalgebra(L.field, L.dims, L.labels, L.table,
                          name=f"scan{config.seed}n{index}")
         rep = validate(L)
         if not rep.ok or not is_nilpotent(L):
@@ -268,7 +258,7 @@ def _check_one(L: Superalgebra) -> list[Finding]:
     for k_sub, k_vec in _center_lines(L):
         k_par = "even" if k_sub.dim.even == 1 else "odd"
         k_coords = [str(c) for c in k_vec]
-        h, _ = quotient(L, k_sub)
+        h = quotient(L, k_sub)
         rep_h = multiplier_dimension(h)
         dim_mh = rep_h.dim_multiplier
         k_in_l2 = 1 if l2.contains_vector(k_vec) else 0
@@ -352,9 +342,7 @@ def replay(finding: Finding) -> str:
     """Recompute the observed value of a Finding from its serialized instance."""
     L = load(finding.instance)
     claim = finding.claim
-    if claim in ("Table1", "Thm2.6(iii)"):
-        return str(multiplier_dimension(L).dim_multiplier)
-    if claim in ("Thm1.2", "Thm1.4", "Thm2.3", "Thm2.4", "Cor2.7"):
+    if claim in ("Table1", "Thm2.6(iii)", "Thm1.2", "Thm1.4", "Thm2.3", "Thm2.4", "Cor2.7"):
         return str(multiplier_dimension(L).dim_multiplier)
     if claim in ("Thm2.6(i)", "Thm2.6(ii)"):
         return str(multiplier_dimension(L).gamma)
@@ -365,7 +353,7 @@ def replay(finding: Finding) -> str:
         return str(rep.dim_multiplier + k_in)
     if claim in ("Lem2.2", "Lem2.3"):
         k = _kernel_from_details(L, finding)
-        h, _ = quotient(L, k)
+        h = quotient(L, k)
         if finding.details.get("part") == "derived":
             return str(derived_subspace(h).dim.total)
         return str(multiplier_dimension(h).dim_multiplier)

@@ -277,7 +277,7 @@ def test_criterion_7_structural_properties(scan_instances):
         full_e = GradedSubspace.full(E.field, E.dims)
         if not product_subspace(E, ext.kernel, full_e).is_zero():
             failures.append(f"{tag}: kernel not central in E")
-        q, _ = quotient(E, ext.kernel)
+        q = quotient(E, ext.kernel)
         if q.table != L.table:
             failures.append(f"{tag}: E/W differs from L")
         e2 = derived_subspace(E)

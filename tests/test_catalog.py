@@ -57,7 +57,7 @@ def test_printed_value_differs_only_for_2_3_19():
 
 def test_specific_brackets_2_2_1():
     L = get("(2|2)_1")
-    assert L.table.entries == {
+    assert L.table == {
         (2, 2): (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
         (3, 3): (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
     }
@@ -65,7 +65,7 @@ def test_specific_brackets_2_2_1():
 
 def test_specific_brackets_2_3_18():
     L = get("(2|3)_18")
-    t = L.table.entries
+    t = L.table
     assert t[(0, 4)][2] == 1      # [e1, f3] = f1
     assert t[(1, 3)][2] == 1      # [e2, f2] = f1
     assert t[(3, 3)][0] == 2      # [f2, f2] = 2e1
@@ -75,7 +75,7 @@ def test_specific_brackets_2_3_18():
 
 def test_specific_brackets_3_2_13():
     L = get("(3|2)_13")
-    t = L.table.entries
+    t = L.table
     assert t[(0, 1)][2] == 1      # [e1, e2] = e3
     assert t[(0, 4)][3] == 1      # [e1, f2] = f1
     assert t[(3, 4)][2] == 1      # [f1, f2] = e3

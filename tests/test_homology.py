@@ -92,9 +92,7 @@ def test_boundary2_catalog_ranks():
 def test_boundary2_image_2_2_1():
     L = get("(2|2)_1")
     b2 = boundary2(L)
-    img = GradedSubspace.from_vectors(RATIONALS, L.dims, [
-        b2.column(c) for c in range(b2.domain_dim)
-    ])
+    img = GradedSubspace.from_vectors(RATIONALS, L.dims, zip(*b2.rows))
     assert img.dim == SuperDim(2, 0)
 
 
@@ -119,9 +117,8 @@ def test_relation_vectors_2_3_22():
     """Specific Jacobi relations: tails forced to zero or tied together."""
     L = get("(2|3)_22")
     ps = PairSpace.of(L)
-    d3 = relations3(L, ps)
-    cols = [tuple(d3.rows[r][c] for r in range(ps.dim)) for c in range(d3.domain_dim)]
-    rows, piv = rref(cols)
+    rows, piv = rref(relations3(L, ps).columns)
+    echelon = dict(zip(piv, rows))
 
     def unit(pair, coeff=1):
         v = [Fraction(0)] * ps.dim
@@ -134,13 +131,13 @@ def test_relation_vectors_2_3_22():
     e1, e2, f1, f2, f3 = range(5)
     # forced-zero tails
     for pair in [(e2, f1), (e2, f2), (f1, f2), (f1, f1), (e2, f3)]:
-        assert not any(reduce_vector(unit(pair), rows, piv)), pair
+        assert not reduce_vector(unit(pair), echelon), pair
     # tied tails
-    assert not any(reduce_vector(plus(unit((e1, e2)), unit((f2, f3), -2)), rows, piv))
-    assert not any(reduce_vector(plus(unit((f1, f3)), unit((f2, f2))), rows, piv))
+    assert not reduce_vector(plus(unit((e1, e2)), unit((f2, f3), -2)), echelon)
+    assert not reduce_vector(plus(unit((f1, f3)), unit((f2, f2))), echelon)
     # surviving generators stay out
-    assert any(reduce_vector(unit((e1, f1)), rows, piv))
-    assert any(reduce_vector(unit((e1, e2)), rows, piv))
+    assert reduce_vector(unit((e1, f1)), echelon)
+    assert reduce_vector(unit((e1, e2)), echelon)
 
 
 # --- multiplier dimension ---------------------------------------------------
@@ -278,16 +275,13 @@ def _check_extension(L):
     full = GradedSubspace.full(E.field, E.dims)
     assert product_subspace(E, ext.kernel, full).is_zero()
     # E/W is L again, labels and table both
-    q, _ = quotient(E, ext.kernel)
+    q = quotient(E, ext.kernel)
     assert q.table == L.table
-    assert [b.label for b in q.basis] == [b.label for b in L.basis]
+    assert list(q.labels) == list(L.labels)
     # dim E^2 = dim L^2 + dim M and the multiplier embeds as E^2 meet W
     e2 = derived_subspace(E)
     assert e2.dim.total == rep.dim_derived + rep.dim_multiplier
     assert intersection_dim(e2, ext.kernel) == rep.dim_multiplier
-    # the projection kills exactly W
-    for v in ext.kernel.full_vectors():
-        assert not any(ext.projection.apply(list(v)))
 
 
 def test_tail_extension_invariants_catalog():
