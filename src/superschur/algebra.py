@@ -82,10 +82,7 @@ def complete_table(field: Field, dims: SuperDim, entries) -> dict:
             if any(coords):
                 raise EvenDiagonal(f"[{i}, {i}] must vanish for an even basis vector")
             continue
-        flip = (pi == EVEN and pj == EVEN and i > j) or \
-               (pi == ODD and pj == EVEN) or \
-               (pi == ODD and pj == ODD and i > j)
-        if flip:
+        if i > j:  # evens come first, so index order is canonical order
             s = field.of(_sign(pi, pj))
             i, j = j, i
             coords = tuple(s * c for c in coords)
@@ -133,15 +130,11 @@ class Superalgebra:
 
     def bracket_basis(self, i: int, j: int):
         """[b_i, b_j] as a dense coordinate tuple (signed canonical lookup)."""
-        pi, pj = self.parity(i), self.parity(j)
-        if i == j and pi == EVEN:
-            return None
-        flip = (pi == pj and i > j) or (pi == ODD and pj == EVEN)
-        if flip:
+        if i > j:
             entry = self.table.get((j, i))
             if entry is None:
                 return None
-            s = self.field.of(_sign(pi, pj))
+            s = self.field.of(_sign(self.parity(i), self.parity(j)))
             return tuple(s * c for c in entry)
         return self.table.get((i, j))
 

@@ -23,6 +23,7 @@ from .algebra import (
 )
 from .capability import epicenter, gamma
 from .errors import (
+    BadField,
     PresentationSyntaxError,
     SuperschurError,
     UndeclaredLabel,
@@ -37,11 +38,19 @@ def _parse_field_flag(text: str) -> Field:
     t = text.strip()
     if t in ("Q", "q"):
         return RATIONALS
-    if t.lower().startswith("f") and t[1:].isdigit():
-        return Field(int(t[1:]))
-    if t.isdigit():
-        return Field(int(t))
+    digits = t[1:] if t.lower().startswith("f") else t
+    if digits.isdigit():
+        try:
+            return Field(int(digits))
+        except BadField as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"bad field {text!r} (use Q or Fp)")
+
+
+def _nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
 
 
 def _common() -> argparse.ArgumentParser:
@@ -85,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="stress-test the dimension bounds on generated instances")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--max-dim", type=int, nargs=2, metavar=("M", "N"), default=None)
+    sp.add_argument("--max-dim", type=_nonnegative, nargs=2, metavar=("M", "N"), default=None)
     sp.add_argument("--depth", type=int, default=None)
     return p
 

@@ -175,9 +175,8 @@ def _parse_field(rest: str, lineno: int) -> Field:
                                   ("Q", "F p"))
 
 
-def lower(ast: PresentationAST, field: Field | None = None) -> Superalgebra:
-    """AST to validated superalgebra; raises JacobiViolationError with a
-    witness triple when the presentation fails the graded Jacobi identity."""
+def _lower_unchecked(ast: PresentationAST, field: Field | None = None) -> Superalgebra:
+    """AST to superalgebra, without checking the graded Jacobi identity."""
     fld = field or ast.field
     labels = list(ast.even_labels) + list(ast.odd_labels)
     dims = SuperDim(len(ast.even_labels), len(ast.odd_labels))
@@ -188,7 +187,13 @@ def lower(ast: PresentationAST, field: Field | None = None) -> Superalgebra:
         for coeff, lbl in st.terms:
             vec[pos[lbl]] += coeff
         entries.append(((pos[st.left], pos[st.right]), [fld.of(c) for c in vec]))
-    alg = Superalgebra.from_entries(fld, dims, entries, name=ast.name, labels=labels)
+    return Superalgebra.from_entries(fld, dims, entries, name=ast.name, labels=labels)
+
+
+def lower(ast: PresentationAST, field: Field | None = None) -> Superalgebra:
+    """AST to validated superalgebra; raises JacobiViolationError with a
+    witness triple when the presentation fails the graded Jacobi identity."""
+    alg = _lower_unchecked(ast, field)
     report = validate(alg)
     if not report.ok:
         raise JacobiViolationError(report)

@@ -24,11 +24,11 @@ from .algebra import (
     validate,
 )
 from .capability import verify_no_low_gamma
-from .catalog import TABLE1_ORDER, entry, get
+from .catalog import TABLE1_ORDER, abelian, entry, get
 from .errors import SuperschurError
 from .fields import Field
 from .homology import multiplier_dimension, tail_extension
-from .linalg import rref, zero_vector
+from .linalg import rref
 from .presentation import load, serialize
 
 DEFAULT_SEED = 1729
@@ -91,14 +91,14 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int) -> Superalge
     keep1 = rng.randint(0, min(w.odd, room1)) if min(w.odd, room1) > 0 else 0
     kill_even = _random_full_rank(rng, L.field, w.even, w.even - keep0)
     kill_odd = _random_full_rank(rng, L.field, w.odd, w.odd - keep1)
-    tails = ext.kernel.full_vectors()
+    # the tail kernel is spanned by unit vectors at the tail coordinates
+    tails = sorted(ext.kernel.echelon)
     vecs = []
     for kill, block in ((kill_even, tails[: w.even]), (kill_odd, tails[w.even:])):
         for row in kill:
-            v = zero_vector(L.field, E.dims.total)
-            for coeff, base in zip(row, block):
-                if coeff:
-                    v = [a + coeff * b for a, b in zip(v, base)]
+            v = [L.field.zero] * E.dims.total
+            for coeff, k in zip(row, block):
+                v[k] = coeff
             vecs.append(v)
     return quotient(E, GradedSubspace.from_vectors(L.field, E.dims, vecs))
 
@@ -111,8 +111,6 @@ def generate_nilpotent(config: ScanConfig):
         n0 = rng.randint(0, config.max_odd)
         if m0 + n0 == 0:
             n0 = 1
-        from .catalog import abelian
-
         L = abelian(m0, n0, config.field)
         for _ in range(config.depth):
             L = _extend_once(rng, L, config.max_even, config.max_odd)

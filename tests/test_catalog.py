@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -13,11 +14,12 @@ from superschur import (
     is_nilpotent,
     multiplier_dimension,
     names,
+    serialize,
     validate,
 )
 from superschur.catalog import TABLE1_ORDER, data_path, entry
 from superschur.errors import ScopeWarning, UnknownName
-from superschur.fields import Field
+from superschur.fields import Field, RATIONALS
 
 from oracles import oracle_multiplier
 
@@ -130,3 +132,17 @@ def test_family_over_prime_field():
     L = family_4_2(1, 1, Field(7))
     assert validate(L).ok
     assert multiplier_dimension(L).dim_multiplier == 2
+
+
+# --- the catalog's answers, pinned ------------------------------------------
+
+CATALOG_SHA256 = "b2da0c85383b2d6e8d7f71c2f1057df767b468b20ad1763e4df6d29acf2bce84"
+
+
+def test_catalog_tables_pinned():
+    """Every entry and the Heisenberg fixture, over Q, F_5 and F_7, serialize
+    to the same text as when this digest was taken."""
+    fields = (RATIONALS, Field(5), Field(7))
+    text = "".join(serialize(get(n, f)) for f in fields for n in names())
+    text += "".join(serialize(heisenberg3(f)) for f in fields)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256

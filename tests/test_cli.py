@@ -106,6 +106,22 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("field", ["F4", "F3", "F9"])
+def test_excluded_field_is_usage_error(field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["multiplier", "--catalog", "(2|2)_1", "--field", field])
+    assert exc.value.code == 2
+    assert "field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims", [("-1", "2"), ("2", "-1")])
+def test_negative_max_dim_is_usage_error(dims, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--max-dim", *dims])
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
+
+
 def test_verify_table1(capsys):
     code, out, _ = run(capsys, "verify-table1")
     assert code == 0
