@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -178,3 +179,44 @@ def test_multiplier_report_timing_under_a_second():
     for name in EXPECTED_RESOLVED:
         rep = multiplier_dimension(get(name))
         assert rep.timing < 1.0
+
+
+# --- perturbation pin -------------------------------------------------------
+
+# Each shift (dL, dH) adds dL to dim M of a scanned algebra and dH to dim M of
+# its quotients by a central line (names ending in "/K"), moving gamma the
+# other way. However the bounds are written, a wrong dim M must surface as
+# the same Findings, each replaying to its observed value under that shift.
+MULTIPLIER_SHIFTS = [(d, 0) for d in range(-3, 4)] + [(0, d) for d in (-2, -1, 1, 2)]
+SHIFTED_FINDINGS = 2748
+SHIFTED_SHA256 = "f9d7d6b2788a5352028e04ad66402863d697165f8cab0484f7007cd2e73829fd"
+
+
+def _shifted(real, d_l, d_h):
+    def multiplier_dimension(L):
+        rep = real(L)
+        d = d_h if (L.name or "").endswith("/K") else d_l
+        return dataclasses.replace(
+            rep, dim_multiplier=rep.dim_multiplier + d,
+            gamma=None if rep.gamma is None else rep.gamma - d)
+    return multiplier_dimension
+
+
+def test_scan_findings_under_multiplier_shifts_are_pinned(monkeypatch):
+    import superschur.capability as capability
+    import superschur.homology as homology
+    import superschur.verifier as verifier
+
+    lines, claims = [], set()
+    for d_l, d_h in MULTIPLIER_SHIFTS:
+        shifted = _shifted(homology.multiplier_dimension, d_l, d_h)
+        monkeypatch.setattr(verifier, "multiplier_dimension", shifted)
+        monkeypatch.setattr(capability, "multiplier_dimension", shifted)
+        for f in scan(ScanConfig()).findings:
+            assert replay(f) == f.observed, f.to_json()
+            lines.append(f"{d_l} {d_h} {f.to_json()}")
+            claims.add(f.claim)
+    assert claims == set(CLAIMS) - {"Table1", "Thm2.6(iii)"}
+    assert len(lines) == SHIFTED_FINDINGS
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == SHIFTED_SHA256
