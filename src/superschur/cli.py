@@ -93,9 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", parents=[common],
                         help="stress-test the dimension bounds on generated instances")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=_nonnegative, default=None)
     sp.add_argument("--max-dim", type=_nonnegative, nargs=2, metavar=("M", "N"), default=None)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", type=_nonnegative, default=None)
     return p
 
 
@@ -199,19 +199,14 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    base = ScanConfig()
-    cfg = ScanConfig(
-        field=args.field or base.field,
-        max_even=args.max_dim[0] if args.max_dim else base.max_even,
-        max_odd=args.max_dim[1] if args.max_dim else base.max_odd,
-        samples=args.samples if args.samples is not None else base.samples,
-        seed=args.seed if args.seed is not None else base.seed,
-        depth=args.depth if args.depth is not None else base.depth,
-    )
-    report = scan(cfg)
+    given = {"field": args.field, "seed": args.seed, "samples": args.samples, "depth": args.depth}
+    if args.max_dim:
+        given["max_even"], given["max_odd"] = args.max_dim
+    report = scan(ScanConfig(**{k: v for k, v in given.items() if v is not None}))
     if args.json:
         print(json.dumps({
             "summary": report.summary_lines(),
+            "evaluated": report.evaluated,
             "findings": [json.loads(f.to_json()) for f in report.findings],
         }, indent=2))
     else:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 from .algebra import (
     GradedSubspace,
@@ -23,7 +25,6 @@ from .algebra import (
     quotient,
     validate,
 )
-from .capability import verify_no_low_gamma
 from .catalog import TABLE1_ORDER, abelian, entry, get
 from .errors import SuperschurError
 from .fields import Field
@@ -183,116 +184,132 @@ def reproduce_table1() -> Table1Report:
     return Table1Report(tuple(rows), tuple(findings))
 
 
-def _center_lines(L: Superalgebra):
-    zc = center(L)
-    for v in zc.full_vectors():
-        yield GradedSubspace.from_vectors(L.field, L.dims, [v]), v
-
-
 _ABELIAN_FORMULA = "(1/2)((m+n)^2 + (n-m))"
 
-CLAIMS = {
-    "Thm1.2": "abelian iff the multiplier reaches " + _ABELIAN_FORMULA,
-    "Thm1.4": "dim M <= m+2n-2 (and in {1,2} when m+n = 3) at derived codim 2",
-    "Thm2.3": "dim M < m+2n-3 at derived codim 2, m+n >= 4, n >= 1",
-    "Thm2.4": "dim M < m+2n-4 at derived codim 2, m+n >= 6, n >= 1",
-    "Cor2.7": "dim M <= m+2n-5 at derived codim 2, m+n >= 6, n >= 1",
-    "Thm1.3i": "dim M(L) + dim(L^2 meet K) <= dim M(L/K) + dim M(K) + dim(H/H^2 x K)",
-    "Thm1.3ii": "dim M(L) + dim(L^2 meet K) <= " + _ABELIAN_FORMULA,
-    "Lem2.2": "quotient bounds for a (1|0) central line inside L^2",
-    "Lem2.3": "quotient bounds for a (0|1) central line inside L^2",
-    "Thm2.6(i)": "no instance in scope has gamma = 0",
-    "Thm2.6(ii)": "no instance in scope has gamma = 1",
-    "Table1": "printed multiplier dimension of a named catalog row",
-    "Thm2.6(iii)": "membership in the printed gamma = 2 classification list",
+# A bound is one inequality. `holds` and `expected` read `_facts`, and a
+# violation reports the fact named by `observed` (and `part`, if it has one).
+Bound = namedtuple("Bound", "holds expected observed part", defaults=("dim_m", None))
+# A claim is evaluated where `scope` holds, or everywhere if it is None.
+Claim = namedtuple("Claim", "desc scope bounds per_line", defaults=(None, (), False))
+_PRINTED = [Bound(None, None)]  # checked by reproduce_table1 against the catalog
+
+
+def _gamma_scope(min_total):
+    return lambda f: f.gamma is not None and f.m + f.n >= min_total
+
+
+def _gamma_at_least_3(f):  # Thm 2.4 and Cor 2.7 share this inequality
+    return f.gamma >= 3
+
+
+# Lem 2.2 (even K) and Lem 2.3 (odd K) cap dim M(L/K) at m+2n-3-dim M(K).
+_LEM = [
+    Bound(lambda f: f.h2 == f.m + f.n - 3, lambda f: f"dim (L/K)^2 = {f.m + f.n - 3}",
+          "h2", lambda f: "derived"),
+    Bound(lambda f: (f.dim_mh in (1, 2) if f.m + f.n == 4
+                     else f.dim_mh <= f.m + 2 * f.n - 3 - f.dim_mk),
+          lambda f: ("dim M(L/K) in {1, 2}" if f.m + f.n == 4
+                     else f"dim M(L/K) <= {f.m + 2 * f.n - 3 - f.dim_mk}"), "dim_mh",
+          lambda f: ("m+n=4" if f.m + f.n == 4 else "m+n>=5" if f.even
+                     else "n=1" if f.n == 1 else "n>=2")),
+]
+
+# In gamma scope (derived codim 2, m+n >= 4, n >= 1) every instance-level
+# bound is a threshold on gamma = m+2n-2-dim M.
+_TABLE = {
+    "Thm1.2": Claim("abelian iff the multiplier reaches " + _ABELIAN_FORMULA, None, [Bound(
+        lambda f: f.dim_m == f.cap if f.abelian else f.dim_m < f.cap,
+        lambda f: f"dim M {'=' if f.abelian else '<'} {f.cap}")]),
+    "Thm1.4": Claim(
+        "dim M <= m+2n-2, i.e. gamma >= 0 (dim M in {1,2} when m+n = 3) at derived codim 2",
+        lambda f: f.gamma is not None or f.m + f.n == 3 and f.d2 == 1, [Bound(
+            lambda f: f.dim_m in (1, 2) if f.m + f.n == 3 else f.gamma >= 0,
+            lambda f: "dim M in {1, 2}" if f.m + f.n == 3 else f"dim M <= {f.m + 2 * f.n - 2}")]),
+    "Thm2.3": Claim("dim M < m+2n-3 at derived codim 2, m+n >= 4, n >= 1, i.e. gamma >= 2",
+                    _gamma_scope(4), [Bound(lambda f: f.gamma >= 2,
+                                            lambda f: f"dim M < {f.m + 2 * f.n - 3}")]),
+    "Thm2.6(i)": Claim("no instance in scope has gamma = 0", _gamma_scope(4),
+                       [Bound(lambda f: f.gamma != 0, lambda f: "gamma >= 2", "gamma")]),
+    "Thm2.6(ii)": Claim("no instance in scope has gamma = 1", _gamma_scope(4),
+                        [Bound(lambda f: f.gamma != 1, lambda f: "gamma >= 2", "gamma")]),
+    "Thm2.4": Claim("dim M < m+2n-4 at derived codim 2, m+n >= 6, n >= 1; as Cor2.7: gamma >= 3",
+                    _gamma_scope(6), [Bound(_gamma_at_least_3,
+                                            lambda f: f"dim M < {f.m + 2 * f.n - 4}")]),
+    "Cor2.7": Claim("dim M <= m+2n-5 at derived codim 2, m+n >= 6, n >= 1; as Thm2.4: gamma >= 3",
+                    _gamma_scope(6), [Bound(_gamma_at_least_3,
+                                            lambda f: f"dim M <= {f.m + 2 * f.n - 5}")]),
+    "Thm1.3i": Claim(
+        "dim M(L) + dim(L^2 meet K) <= dim M(L/K) + dim M(K) + dim(H/H^2 x K)", None, [Bound(
+            lambda f: f.lhs <= f.dim_mh + f.dim_mk + f.tensor,
+            lambda f: (f"{f.lhs} <= dim M(L/K) + dim M(K) + dim tensor "
+                       f"= {f.dim_mh} + {f.dim_mk} + {f.tensor}"), "lhs")], per_line=True),
+    "Thm1.3ii": Claim("dim M(L) + dim(L^2 meet K) <= " + _ABELIAN_FORMULA, None, [Bound(
+        lambda f: f.lhs <= f.cap, lambda f: f"{f.lhs} <= {f.cap}", "lhs")], per_line=True),
+    "Lem2.2": Claim("quotient bounds for a (1|0) central line inside L^2",
+                    lambda f: f.gamma is not None and f.in_l2 and f.even, _LEM, per_line=True),
+    "Lem2.3": Claim("quotient bounds for a (0|1) central line inside L^2",
+                    lambda f: f.gamma is not None and f.in_l2 and not f.even, _LEM, per_line=True),
+    "Table1": Claim("printed multiplier dimension of a named catalog row", bounds=_PRINTED),
+    "Thm2.6(iii)": Claim("membership in the printed gamma = 2 classification list",
+                         bounds=_PRINTED),
 }
+
+CLAIMS = {claim: c.desc for claim, c in _TABLE.items()}
+_SCANNED = [(claim, c) for claim, c in _TABLE.items() if c.bounds is not _PRINTED]
+
+
+def _facts(L: Superalgebra, v=None) -> SimpleNamespace:
+    """What the claims read of L, and of its central line K = <v> if given."""
+    rep = multiplier_dimension(L)
+    m, n = L.dims.even, L.dims.odd
+    f = SimpleNamespace(m=m, n=n, d2=rep.dim_derived, dim_m=rep.dim_multiplier,
+                        gamma=rep.gamma, abelian=L.is_abelian(),
+                        cap=((m + n) ** 2 + (n - m)) // 2, details={})
+    if v is not None:
+        k = GradedSubspace.from_vectors(L.field, L.dims, [v])
+        h = quotient(L, k)
+        f.even = k.dim.even == 1
+        f.in_l2 = 1 if derived_subspace(L).contains_vector(v) else 0
+        f.h2 = derived_subspace(h).dim.total
+        f.dim_mh = multiplier_dimension(h).dim_multiplier
+        f.dim_mk = 0 if f.even else 1
+        f.tensor = h.dims.total - f.h2
+        f.lhs = f.dim_m + f.in_l2
+        f.details = {"kernel": [str(c) for c in v],
+                     "kernel_parity": "even" if f.even else "odd"}
+    return f
+
+
+def _check(instances) -> tuple[list, dict]:
+    """Findings, and per claim the instances (or central lines) in scope.
+    Each distinct inequality is evaluated once per instance or line, and
+    reported under every claim in scope that it settles."""
+    findings = []
+    evaluated = {claim: 0 for claim, _ in _SCANNED}
+    for L in instances:
+        failed = []
+        for g in [_facts(L)] + [_facts(L, v) for v in center(L).full_vectors()]:
+            verdicts = {}
+            for claim, c in _SCANNED:
+                if c.per_line != ("kernel" in g.details) or c.scope and not c.scope(g):
+                    continue
+                evaluated[claim] += 1
+                for b in c.bounds:
+                    if b.holds not in verdicts:
+                        verdicts[b.holds] = b.holds(g)
+                    if not verdicts[b.holds]:
+                        failed.append((g, claim, b))
+        ser = serialize(L) if failed else None
+        for g, claim, b in failed:
+            details = g.details | ({"part": b.part(g)} if b.part else {})
+            findings.append(Finding(claim, ser, b.expected(g),
+                                    str(getattr(g, b.observed)), details))
+    return findings, evaluated
 
 
 def check_bounds(instances) -> list[Finding]:
     """Evaluate every applicable bound on each instance; violations only."""
-    findings = []
-    for L in instances:
-        findings.extend(_check_one(L))
-    return findings
-
-
-def _check_one(L: Superalgebra) -> list[Finding]:
-    out = []
-    m, n = L.dims.even, L.dims.odd
-    rep = multiplier_dimension(L)
-    dim_m = rep.dim_multiplier
-    d2 = rep.dim_derived
-    abelian_cap = ((m + n) ** 2 + (n - m)) // 2
-    ser = None
-
-    def emit(claim, expected, observed, **details):
-        nonlocal ser
-        if ser is None:
-            ser = serialize(L)
-        out.append(Finding(claim=claim, instance=ser, expected=expected,
-                           observed=str(observed), details=details))
-
-    if L.is_abelian():
-        if dim_m != abelian_cap:
-            emit("Thm1.2", f"dim M = {abelian_cap}", dim_m)
-    elif dim_m >= abelian_cap:
-        emit("Thm1.2", f"dim M < {abelian_cap}", dim_m)
-
-    codim2 = d2 == m + n - 2
-    if not L.is_abelian() and codim2:
-        if m + n == 3 and dim_m not in (1, 2):
-            emit("Thm1.4", "dim M in {1, 2}", dim_m)
-        if m + n >= 4 and n >= 1 and dim_m > m + 2 * n - 2:
-            emit("Thm1.4", f"dim M <= {m + 2 * n - 2}", dim_m)
-    if codim2 and m + n >= 4 and n >= 1 and dim_m >= m + 2 * n - 3:
-        emit("Thm2.3", f"dim M < {m + 2 * n - 3}", dim_m)
-    if codim2 and m + n >= 6 and n >= 1:
-        if dim_m >= m + 2 * n - 4:
-            emit("Thm2.4", f"dim M < {m + 2 * n - 4}", dim_m)
-        if dim_m > m + 2 * n - 5:
-            emit("Cor2.7", f"dim M <= {m + 2 * n - 5}", dim_m)
-
-    l2 = derived_subspace(L)
-    for k_sub, k_vec in _center_lines(L):
-        k_par = "even" if k_sub.dim.even == 1 else "odd"
-        k_coords = [str(c) for c in k_vec]
-        h = quotient(L, k_sub)
-        rep_h = multiplier_dimension(h)
-        dim_mh = rep_h.dim_multiplier
-        k_in_l2 = 1 if l2.contains_vector(k_vec) else 0
-        dim_mk = 0 if k_par == "even" else 1
-        h2 = derived_subspace(h).dim.total
-        tensor = (h.dims.total - h2) * 1
-        lhs = dim_m + k_in_l2
-        if lhs > dim_mh + dim_mk + tensor:
-            emit("Thm1.3i", f"{lhs} <= dim M(L/K) + dim M(K) + dim tensor "
-                            f"= {dim_mh} + {dim_mk} + {tensor}", lhs,
-                 kernel=k_coords, kernel_parity=k_par)
-        if lhs > abelian_cap:
-            emit("Thm1.3ii", f"{lhs} <= {abelian_cap}", lhs,
-                 kernel=k_coords, kernel_parity=k_par)
-        if codim2 and m + n >= 4 and n >= 1 and k_in_l2:
-            claim = "Lem2.2" if k_par == "even" else "Lem2.3"
-            if h2 != m + n - 3:
-                emit(claim, f"dim (L/K)^2 = {m + n - 3}", h2,
-                     kernel=k_coords, kernel_parity=k_par, part="derived")
-            if m + n == 4:
-                if dim_mh not in (1, 2):
-                    emit(claim, "dim M(L/K) in {1, 2}", dim_mh,
-                         kernel=k_coords, kernel_parity=k_par, part="m+n=4")
-            elif k_par == "even":
-                if dim_mh > m + 2 * n - 3:
-                    emit(claim, f"dim M(L/K) <= {m + 2 * n - 3}", dim_mh,
-                         kernel=k_coords, kernel_parity=k_par, part="m+n>=5")
-            elif n == 1:
-                if dim_mh > m - 2:
-                    emit(claim, f"dim M(L/K) <= {m - 2}", dim_mh,
-                         kernel=k_coords, kernel_parity=k_par, part="n=1")
-            else:
-                if dim_mh > m + 2 * n - 4:
-                    emit(claim, f"dim M(L/K) <= {m + 2 * n - 4}", dim_mh,
-                         kernel=k_coords, kernel_parity=k_par, part="n>=2")
-    return out
+    return _check(instances)[0]
 
 
 @dataclass(frozen=True)
@@ -303,6 +320,7 @@ class ScanReport:
     gamma_skipped: int
     findings: tuple
     elapsed: float
+    evaluated: dict  # claim -> instances (central lines, if per line) in scope
 
     def summary_lines(self) -> list[str]:
         cfg = self.config
@@ -318,46 +336,26 @@ class ScanReport:
 
 
 def scan(config: ScanConfig | None = None) -> ScanReport:
-    """Run the default stress scan: bounds plus the low-gamma sweep."""
+    """Check every claim's bounds on the generated instances."""
     cfg = config or ScanConfig()
     t0 = time.perf_counter()
-    instances = list(generate_nilpotent(cfg))
-    findings = check_bounds(instances)
-    low = verify_no_low_gamma(instances)
-    for name, g in low.offenders:
-        inst = next(x for x in instances if x.name == name)
-        findings.append(Finding(
-            claim="Thm2.6(i)" if g == 0 else "Thm2.6(ii)",
-            instance=serialize(inst),
-            expected="gamma >= 2", observed=str(g),
-        ))
-    skipped = sum(1 for e in low.entries if e.skipped is not None)
-    return ScanReport(cfg, len(instances), low.checked, skipped,
-                      tuple(findings), time.perf_counter() - t0)
+    findings, evaluated = _check(generate_nilpotent(cfg))
+    # Thm 1.2 is evaluated on every instance, Thm 2.3 on the gamma scope
+    count, checked = evaluated["Thm1.2"], evaluated["Thm2.3"]
+    return ScanReport(cfg, count, checked, count - checked,
+                      tuple(findings), time.perf_counter() - t0, evaluated)
 
 
 def replay(finding: Finding) -> str:
     """Recompute the observed value of a Finding from its serialized instance."""
+    c = _TABLE.get(finding.claim)
+    if c is None:
+        raise SuperschurError(f"cannot replay claim {finding.claim!r}")
     L = load(finding.instance)
-    claim = finding.claim
-    if claim in ("Table1", "Thm2.6(iii)", "Thm1.2", "Thm1.4", "Thm2.3", "Thm2.4", "Cor2.7"):
-        return str(multiplier_dimension(L).dim_multiplier)
-    if claim in ("Thm2.6(i)", "Thm2.6(ii)"):
-        return str(multiplier_dimension(L).gamma)
-    if claim in ("Thm1.3i", "Thm1.3ii"):
-        k = _kernel_from_details(L, finding)
-        rep = multiplier_dimension(L)
-        k_in = 1 if derived_subspace(L).contains_vector(k.full_vectors()[0]) else 0
-        return str(rep.dim_multiplier + k_in)
-    if claim in ("Lem2.2", "Lem2.3"):
-        k = _kernel_from_details(L, finding)
-        h = quotient(L, k)
-        if finding.details.get("part") == "derived":
-            return str(derived_subspace(h).dim.total)
-        return str(multiplier_dimension(h).dim_multiplier)
-    raise SuperschurError(f"cannot replay claim {claim!r}")
-
-
-def _kernel_from_details(L: Superalgebra, finding: Finding) -> GradedSubspace:
-    coords = [L.field.of(c) for c in finding.details["kernel"]]
-    return GradedSubspace.from_vectors(L.field, L.dims, [coords])
+    v = [L.field.of(x) for x in finding.details["kernel"]] if c.per_line else None
+    f = _facts(L, v)
+    part = finding.details.get("part")
+    for b in c.bounds:
+        if (b.part(f) if b.part else None) == part:
+            return str(getattr(f, b.observed))
+    raise SuperschurError(f"cannot replay part {part!r} of claim {finding.claim!r}")

@@ -49,3 +49,17 @@ def test_tracer_counts_and_restores():
     assert tracer.mod_ops > 0
     assert before == (S.linalg.rref, S.homology.rref, S.homology.mat_rank,
                       S.fields.Mod.__add__)
+
+
+def test_scan_gate_passes_in_and_out_of_gamma_scope():
+    # the first instances of the default scan on each side of the gamma scope
+    scan_f5 = workloads.make(S, "scan-f5", seed=0)
+    verdicts = {}
+    for _, key, query in scan_f5.instances(S.ScanConfig()):
+        answer = query()
+        in_scope = answer["low"].entries[0].gamma is not None
+        if in_scope not in verdicts:
+            verdicts[in_scope] = scan_f5.check(key, answer)
+        if len(verdicts) == 2:
+            break
+    assert verdicts == {True: None, False: None}

@@ -122,6 +122,14 @@ def test_negative_max_dim_is_usage_error(dims, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [("--samples", "-3"), ("--depth", "-2")])
+def test_negative_scan_count_is_usage_error(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", option, value])
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
+
+
 def test_verify_table1(capsys):
     code, out, _ = run(capsys, "verify-table1")
     assert code == 0
@@ -148,6 +156,14 @@ def test_scan_json_deterministic(capsys):
     assert code == 0
     code, b, _ = run(capsys, "scan", "--samples", "10", "--seed", "3", "--json")
     assert json.loads(a)["findings"] == json.loads(b)["findings"]
+
+
+def test_scan_json_reports_evaluated_per_claim(capsys):
+    code, out, _ = run(capsys, "scan", "--samples", "10", "--seed", "3", "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc) == ["summary", "evaluated", "findings"]
+    assert doc["evaluated"]["Thm1.2"] == 10
 
 
 def test_field_override(capsys):

@@ -163,6 +163,36 @@ def test_scan_zero_findings_default():
     assert rep.gamma_checked + rep.gamma_skipped == 60
 
 
+# Instances (central lines, for the per-line claims) each claim is evaluated
+# on in the default scan. "0 findings" on a claim means nothing without these.
+DEFAULT_SCAN_EVALUATED = {
+    "Thm1.2": 200, "Thm1.4": 40, "Thm2.3": 15, "Thm2.6(i)": 15, "Thm2.6(ii)": 15,
+    "Thm2.4": 4, "Cor2.7": 4, "Thm1.3i": 456, "Thm1.3ii": 456, "Lem2.2": 29, "Lem2.3": 6,
+}
+
+
+def test_default_scan_evaluated_counts_are_pinned():
+    rep = scan(ScanConfig())
+    assert rep.evaluated == DEFAULT_SCAN_EVALUATED
+    assert (rep.gamma_checked, rep.gamma_skipped) == (15, 185)
+    assert set(rep.evaluated) == set(CLAIMS) - {"Table1", "Thm2.6(iii)"}
+
+
+def test_check_bounds_reports_low_gamma_itself(monkeypatch):
+    # (2|2)_4 has gamma 2; shifting its multiplier up by 1 and by 2 must give
+    # the gamma = 1 and gamma = 0 Findings from check_bounds alone
+    import superschur.verifier as verifier
+    from superschur.homology import multiplier_dimension as real
+
+    L = get("(2|2)_4")
+    for shift, claim in ((1, "Thm2.6(ii)"), (2, "Thm2.6(i)")):
+        monkeypatch.setattr(verifier, "multiplier_dimension", _shifted(real, shift, 0))
+        low = [f for f in check_bounds([L]) if f.claim.startswith("Thm2.6")]
+        assert [(f.claim, f.expected, f.observed) for f in low] == [
+            (claim, "gamma >= 2", str(2 - shift))]
+        assert replay(low[0]) == low[0].observed
+
+
 def test_scan_summary_deterministic():
     a = scan(ScanConfig(samples=25, seed=11))
     b = scan(ScanConfig(samples=25, seed=11))
