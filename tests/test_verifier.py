@@ -250,3 +250,35 @@ def test_scan_findings_under_multiplier_shifts_are_pinned(monkeypatch):
     assert len(lines) == SHIFTED_FINDINGS
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == SHIFTED_SHA256
+
+
+# Lem 2.2 caps dim M(L/K) at m+2n-3 for an even central line K inside L^2,
+# Lem 2.3 at m+2n-4 for an odd one (m+n >= 5). Every such line of the
+# m+n = 5 catalog entries stays under its cap when dim M(L/K) is raised by 2
+# and crosses it when raised by 3.
+LEM_CROSSINGS_AT_3 = sorted([
+    ("(1|4)_7", "Lem2.3", "n>=2", "dim M(L/K) <= 5", "6"),
+    ("(2|3)_18", "Lem2.3", "n>=2", "dim M(L/K) <= 4", "5"),
+    ("(2|3)_19", "Lem2.3", "n>=2", "dim M(L/K) <= 4", "5"),
+    ("(2|3)_22", "Lem2.2", "m+n>=5", "dim M(L/K) <= 5", "6"),
+    ("(2|3)_22", "Lem2.3", "n>=2", "dim M(L/K) <= 4", "5"),
+    ("(2|3)_23", "Lem2.2", "m+n>=5", "dim M(L/K) <= 5", "6"),
+    ("(3|2)_13", "Lem2.2", "m+n>=5", "dim M(L/K) <= 4", "5"),
+    ("(3|2)_5", "Lem2.2", "m+n>=5", "dim M(L/K) <= 4", "5"),
+    ("(3|2)_5", "Lem2.2", "m+n>=5", "dim M(L/K) <= 4", "5"),
+])
+
+
+def test_lem_quotient_caps_on_the_catalog(monkeypatch):
+    import superschur.verifier as verifier
+    from superschur.homology import multiplier_dimension as real
+
+    five = [get(n) for n in EXPECTED_RESOLVED if get(n).dims.total == 5]
+    crossings = {}
+    for d_h in (2, 3):
+        monkeypatch.setattr(verifier, "multiplier_dimension", _shifted(real, 0, d_h))
+        lem = [f for f in check_bounds(five) if f.claim.startswith("Lem")]
+        assert all(replay(f) == f.observed for f in lem)
+        crossings[d_h] = sorted((load(f.instance).name, f.claim, f.details["part"],
+                                 f.expected, f.observed) for f in lem)
+    assert crossings == {2: [], 3: LEM_CROSSINGS_AT_3}
