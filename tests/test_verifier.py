@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 
+import pytest
+
 from superschur import (
     ScanConfig,
     check_bounds,
@@ -49,6 +51,21 @@ DEFAULT_SCAN_SHA256 = "2397b8bee31831eba89864b63b03e2d724ae21ca21ebaaeb4deb8e103
 def test_default_scan_instances_are_pinned(scan_instances):
     text = "".join(serialize(L) for L in scan_instances)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SCAN_SHA256
+
+
+# More streams, pinned the same way. Each one redraws rank-deficient kill
+# subspaces: 70 of 604, 3 of 104 and 61 of 319 draws respectively.
+@pytest.mark.parametrize("config, digest", [
+    (ScanConfig(field=Field(7)),
+     "16a5a3029464c56ac64bf19199ac846ad1d3df05ac156e467b5ad5c0ac253569"),
+    (ScanConfig(field=RATIONALS, samples=40),
+     "8b22e7b0d4730d8ba444968336c41e4e7396660028ed0b9601cc3fe1ca2c6707"),
+    (ScanConfig(max_even=4, max_odd=4, depth=3, samples=60),
+     "ab1d9f19e1b235ac502f0cbfaf4c9f7d506b7f3823dd857f74cf66eea918b445"),
+], ids=["f7", "q-40", "f5-4x4-depth3-60"])
+def test_generated_streams_are_pinned(config, digest):
+    text = "".join(serialize(L) for L in generate_nilpotent(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generator_seeds_differ():
