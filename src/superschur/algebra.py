@@ -338,11 +338,6 @@ def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     return GradedSubspace._span(a.field, a.dims, rows)
 
 
-def intersection_dim(a: GradedSubspace, b: GradedSubspace) -> int:
-    s = subspace_sum(a, b)
-    return a.dim.total + b.dim.total - s.dim.total
-
-
 def product_subspace(L: Superalgebra, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     """Span of all brackets [a_i, b_j]; the square bracket on subspaces."""
     if a.dims != L.dims or b.dims != L.dims:

@@ -69,43 +69,46 @@ def _rand_scalar(rng, fld: Field):
     return fld.of(rng.randrange(fld.p))
 
 
-def _random_full_rank(rng, fld: Field, ambient: int, target: int):
-    """target x ambient rref rows spanning a random target-dim subspace."""
+def _kill_block(rng, fld: Field, tails: list, keep: int) -> dict:
+    """Reduced echelon of a random span of all but `keep` of the unit tails.
+
+    Rows are drawn row-major over `tails`, redrawn up to 24 times while
+    their rank is short, with unit rows as the last resort.
+    """
+    target = len(tails) - keep
     if target == 0:
-        return []
+        return {}
     for _ in range(24):
-        rows = [[_rand_scalar(rng, fld) for _ in range(ambient)] for _ in range(target)]
-        rr, _ = rref(rows)
+        rows = [{t: _rand_scalar(rng, fld) for t in tails} for _ in range(target)]
+        rr, pivots = rref(rows)
         if len(rr) == target:
-            return list(rr)
-    one, z = fld.one, fld.zero
-    return [[one if c == r else z for c in range(ambient)] for r in range(target)]
+            return dict(zip(pivots, rr))
+    return {t: {t: fld.one} for t in tails[:target]}
 
 
-def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int) -> Superalgebra:
-    ext = tail_extension(L)
-    E = ext.algebra
+def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
+                 extensions: dict) -> Superalgebra:
+    """A random central quotient of L's tail extension, built once per
+    distinct L and kept in `extensions`."""
+    key = (L.dims, L.labels, tuple(sorted(L.table.items())))
+    if key not in extensions:
+        extensions[key] = tail_extension(L)
+    ext = extensions[key]
     w = ext.kernel.dim
     room0 = max_even - L.dims.even
     room1 = max_odd - L.dims.odd
     keep0 = rng.randint(0, min(w.even, room0)) if min(w.even, room0) > 0 else 0
     keep1 = rng.randint(0, min(w.odd, room1)) if min(w.odd, room1) > 0 else 0
-    kill_even = _random_full_rank(rng, L.field, w.even, w.even - keep0)
-    kill_odd = _random_full_rank(rng, L.field, w.odd, w.odd - keep1)
     # the tail kernel is spanned by unit vectors at the tail coordinates
     tails = sorted(ext.kernel.echelon)
-    vecs = []
-    for kill, block in ((kill_even, tails[: w.even]), (kill_odd, tails[w.even:])):
-        for row in kill:
-            v = [L.field.zero] * E.dims.total
-            for coeff, k in zip(row, block):
-                v[k] = coeff
-            vecs.append(v)
-    return quotient(E, GradedSubspace.from_vectors(L.field, E.dims, vecs))
+    kill = (_kill_block(rng, L.field, tails[: w.even], keep0)
+            | _kill_block(rng, L.field, tails[w.even:], keep1))
+    return quotient(ext.algebra, GradedSubspace(L.field, ext.algebra.dims, kill))
 
 
 def generate_nilpotent(config: ScanConfig):
     """Deterministic stream of validated nilpotent instances within budget."""
+    extensions = {}  # tail extensions by algebra content, for this stream only
     for index in range(config.samples):
         rng = random.Random(f"{config.seed}:{index}")
         m0 = rng.randint(0, config.max_even)
@@ -114,7 +117,7 @@ def generate_nilpotent(config: ScanConfig):
             n0 = 1
         L = abelian(m0, n0, config.field)
         for _ in range(config.depth):
-            L = _extend_once(rng, L, config.max_even, config.max_odd)
+            L = _extend_once(rng, L, config.max_even, config.max_odd, extensions)
         L = Superalgebra(L.field, L.dims, L.labels, L.table,
                          name=f"scan{config.seed}n{index}")
         rep = validate(L)

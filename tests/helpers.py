@@ -1,6 +1,6 @@
 """Shared test utilities."""
 
-from superschur import Superalgebra
+from superschur import Superalgebra, subspace_sum
 
 
 def change_basis(L, perm, scales):
@@ -39,3 +39,8 @@ def random_parity_basis_change(rng, L):
         pool = list(range(1, L.field.p))
     scales = [L.field.of(rng.choice(pool)) for _ in range(total)]
     return perm, scales
+
+
+def intersection_dim(a, b):
+    """dim (a meet b) = dim a + dim b - dim (a + b)."""
+    return a.dim.total + b.dim.total - subspace_sum(a, b).dim.total

@@ -50,11 +50,10 @@ from superschur import (
     validate,
     verify_no_low_gamma,
 )
-from superschur.algebra import intersection_dim
 from superschur.catalog import entry
 from superschur.errors import ScopeWarning
 
-from helpers import change_basis, random_parity_basis_change
+from helpers import change_basis, intersection_dim, random_parity_basis_change
 from oracles import oracle_multiplier
 
 TABLE1_REQUIRED = {

@@ -24,11 +24,11 @@ from superschur import (
     tail_extension,
     validate,
 )
-from superschur.algebra import intersection_dim
 from superschur.errors import NotNilpotent
 from superschur.fields import Field, RATIONALS
 from superschur.linalg import reduce_vector, rref
 
+from helpers import intersection_dim
 from oracles import oracle_multiplier
 
 # Frozen golden values, pinned by the independent all-ordered-triples

@@ -68,6 +68,35 @@ def test_generated_streams_are_pinned(config, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _content(L):
+    return L.dims, L.labels, tuple(sorted(L.table.items()))
+
+
+def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
+    import superschur.verifier as verifier
+
+    built, extended = [], []
+    real_tail, real_extend = verifier.tail_extension, verifier._extend_once
+
+    def tail(L):
+        built.append(_content(L))
+        return real_tail(L)
+
+    def extend(rng, L, *args):
+        extended.append(_content(L))
+        return real_extend(rng, L, *args)
+
+    monkeypatch.setattr(verifier, "tail_extension", tail)
+    monkeypatch.setattr(verifier, "_extend_once", extend)
+    list(generate_nilpotent(ScanConfig()))
+    assert len(extended) == 400
+    assert len(built) == len(set(extended)) == 89
+    # the cache lives as long as one stream: a second one builds them all again
+    built.clear()
+    list(generate_nilpotent(ScanConfig()))
+    assert len(built) == 89
+
+
 def test_generator_seeds_differ():
     a = [serialize(L) for L in generate_nilpotent(ScanConfig(samples=12, seed=1))]
     b = [serialize(L) for L in generate_nilpotent(ScanConfig(samples=12, seed=2))]
