@@ -17,7 +17,6 @@ from .algebra import (
     nilpotent_by_components,
     product_subspace,
     quotient,
-    subspace_sum,
     validate,
 )
 from .capability import (
@@ -65,5 +64,5 @@ __all__ = [
     "lower", "lower_central_series", "mono_criterion", "multiplier_dimension",
     "names", "nilpotent_by_components", "parse", "product_subspace", "quotient",
     "relations3", "replay", "reproduce_table1", "scan", "serialize",
-    "subspace_sum", "tail_extension", "validate", "verify_no_low_gamma",
+    "tail_extension", "validate", "verify_no_low_gamma",
 ]

@@ -149,6 +149,13 @@ class Superalgebra:
     def is_abelian(self) -> bool:
         return len(self.table) == 0
 
+    def renamed(self, name: str) -> "Superalgebra":
+        """This algebra under another name, sharing its memoized facts,
+        which depend on the content alone."""
+        twin = Superalgebra(self.field, self.dims, self.labels, self.table, name)
+        object.__setattr__(twin, "_facts", self._facts)
+        return twin
+
     def __str__(self):
         return f"{self.name or 'superalgebra'} {self.dims} over {self.field}"
 
@@ -329,13 +336,6 @@ class GradedSubspace:
 
     def contains(self, other: "GradedSubspace") -> bool:
         return all(self.contains_vector(row) for row in other.echelon.values())
-
-
-def subspace_sum(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
-    if a.dims != b.dims:
-        raise DimensionMismatch("subspaces of different ambient spaces")
-    rows = list(a.echelon.values()) + list(b.echelon.values())
-    return GradedSubspace._span(a.field, a.dims, rows)
 
 
 def product_subspace(L: Superalgebra, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:

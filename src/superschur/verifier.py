@@ -19,6 +19,7 @@ from types import SimpleNamespace
 from .algebra import (
     GradedSubspace,
     Superalgebra,
+    _per_algebra,
     center,
     derived_subspace,
     is_nilpotent,
@@ -29,7 +30,7 @@ from .catalog import TABLE1_ORDER, abelian, entry, get
 from .errors import SuperschurError
 from .fields import Field
 from .homology import multiplier_dimension, tail_extension
-from .linalg import rref
+from .linalg import mat_rank, rref
 from .presentation import load, serialize
 
 DEFAULT_SEED = 1729
@@ -80,20 +81,36 @@ def _kill_block(rng, fld: Field, tails: list, keep: int) -> dict:
         return {}
     for _ in range(24):
         rows = [{t: _rand_scalar(rng, fld) for t in tails} for _ in range(target)]
-        rr, pivots = rref(rows)
-        if len(rr) == target:
-            return dict(zip(pivots, rr))
+        if keep:
+            rr, pivots = rref(rows)
+            if len(rr) == target:
+                return dict(zip(pivots, rr))
+        elif mat_rank(rows) == target:
+            break  # the draw spans every tail: its echelon is the unit rows
     return {t: {t: fld.one} for t in tails[:target]}
 
 
+def _intern(algebras: dict, L: Superalgebra) -> Superalgebra:
+    """The stream's one algebra with L's content."""
+    return algebras.setdefault((L.dims, L.labels, tuple(sorted(L.table.items()))), L)
+
+
+# Facts of a stream's algebras, kept with the rest of their facts.
+@_per_algebra
+def _tail(L: Superalgebra):
+    return tail_extension(L)
+
+
+@_per_algebra
+def _validation(L: Superalgebra):
+    return validate(L)
+
+
 def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
-                 extensions: dict) -> Superalgebra:
-    """A random central quotient of L's tail extension, built once per
-    distinct L and kept in `extensions`."""
-    key = (L.dims, L.labels, tuple(sorted(L.table.items())))
-    if key not in extensions:
-        extensions[key] = tail_extension(L)
-    ext = extensions[key]
+                 algebras: dict) -> Superalgebra:
+    """A random central quotient of L's tail extension, interned in
+    `algebras`; L itself when every tail is killed."""
+    ext = _tail(L)
     w = ext.kernel.dim
     room0 = max_even - L.dims.even
     room1 = max_odd - L.dims.odd
@@ -103,28 +120,30 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
     tails = sorted(ext.kernel.echelon)
     kill = (_kill_block(rng, L.field, tails[: w.even], keep0)
             | _kill_block(rng, L.field, tails[w.even:], keep1))
-    return quotient(ext.algebra, GradedSubspace(L.field, ext.algebra.dims, kill))
+    if not keep0 and not keep1:
+        return L  # E modulo every tail is L again; the draws above keep rng in step
+    return _intern(algebras, quotient(ext.algebra,
+                                      GradedSubspace(L.field, ext.algebra.dims, kill)))
 
 
 def generate_nilpotent(config: ScanConfig):
-    """Deterministic stream of validated nilpotent instances within budget."""
-    extensions = {}  # tail extensions by algebra content, for this stream only
+    """Deterministic stream of validated nilpotent instances within budget;
+    instances of one content are renamed copies sharing one algebra's facts."""
+    algebras = {}  # content -> algebra, for this stream only
     for index in range(config.samples):
         rng = random.Random(f"{config.seed}:{index}")
         m0 = rng.randint(0, config.max_even)
         n0 = rng.randint(0, config.max_odd)
         if m0 + n0 == 0:
             n0 = 1
-        L = abelian(m0, n0, config.field)
+        L = _intern(algebras, abelian(m0, n0, config.field))
         for _ in range(config.depth):
-            L = _extend_once(rng, L, config.max_even, config.max_odd, extensions)
-        L = Superalgebra(L.field, L.dims, L.labels, L.table,
-                         name=f"scan{config.seed}n{index}")
-        rep = validate(L)
+            L = _extend_once(rng, L, config.max_even, config.max_odd, algebras)
+        rep = _validation(L)
         if not rep.ok or not is_nilpotent(L):
             raise SuperschurError(
                 f"generator produced an invalid instance at index {index}: {rep}")
-        yield L
+        yield L.renamed(f"scan{config.seed}n{index}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +288,11 @@ def _facts(L: Superalgebra, v=None) -> SimpleNamespace:
                         gamma=rep.gamma, abelian=L.is_abelian(),
                         cap=((m + n) ** 2 + (n - m)) // 2, details={})
     if v is not None:
-        k = GradedSubspace.from_vectors(L.field, L.dims, [v])
-        h = quotient(L, k)
-        f.even = k.dim.even == 1
+        lines, key = L._facts.setdefault("line_quotients", {}), tuple(v)
+        if key not in lines:  # kept with L's facts, shared by its renamed copies
+            k = GradedSubspace.from_vectors(L.field, L.dims, [v])
+            lines[key] = k.dim.even == 1, quotient(L, k)
+        f.even, h = lines[key]
         f.in_l2 = 1 if derived_subspace(L).contains_vector(v) else 0
         f.h2 = derived_subspace(h).dim.total
         f.dim_mh = multiplier_dimension(h).dim_multiplier

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
-from superschur import Superalgebra, subspace_sum
+from superschur import GradedSubspace, Superalgebra
+from superschur.errors import DimensionMismatch
 
 
 def change_basis(L, perm, scales):
@@ -39,6 +40,13 @@ def random_parity_basis_change(rng, L):
         pool = list(range(1, L.field.p))
     scales = [L.field.of(rng.choice(pool)) for _ in range(total)]
     return perm, scales
+
+
+def subspace_sum(a, b):
+    """The sum of two graded subspaces of one ambient space."""
+    if a.dims != b.dims:
+        raise DimensionMismatch("subspaces of different ambient spaces")
+    return GradedSubspace.from_vectors(a.field, a.dims, a.full_vectors() + b.full_vectors())
 
 
 def intersection_dim(a, b):

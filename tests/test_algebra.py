@@ -23,7 +23,6 @@ from superschur import (
     nilpotent_by_components,
     product_subspace,
     quotient,
-    subspace_sum,
     validate,
 )
 from superschur.algebra import complete_table
@@ -37,6 +36,8 @@ from superschur.errors import (
 )
 from superschur.verifier import ScanConfig, generate_nilpotent
 from superschur.fields import Field, RATIONALS
+
+from helpers import subspace_sum
 
 D22 = SuperDim(2, 2)
 
@@ -197,6 +198,24 @@ def test_odd_cube_identity(seed):
 def test_graded_subspace_rejects_mixed_vectors():
     with pytest.raises(NotGraded):
         GradedSubspace.from_vectors(RATIONALS, D22, [_vec(4, i0=1, i2=1)])
+
+
+def test_renamed_copy_shares_facts(monkeypatch):
+    import superschur.algebra as algebra
+    from superschur import serialize
+
+    calls = []
+    real = algebra.center.__wrapped__
+    monkeypatch.setattr(algebra.center, "__wrapped__", lambda L: calls.append(L) or real(L))
+    L = heisenberg3()
+    x = L.renamed("x")
+    assert x.name == "x" and L.name == "heisenberg3"
+    head, _, body = serialize(x).partition("\n")
+    assert head == "superalgebra x"
+    assert body == serialize(L).partition("\n")[2]
+    assert x._facts is L._facts
+    assert center(x) == center(L)
+    assert len(calls) == 1
 
 
 def test_subspace_equality_is_canonical():

@@ -97,6 +97,51 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
     assert len(built) == 89
 
 
+def test_stream_shares_facts_across_repeated_instances(monkeypatch):
+    # the default stream yields 115 distinct algebras among 200 instances;
+    # each fact is computed once per distinct algebra (656 multipliers, 200
+    # centers and 200 validations when every instance had its own)
+    import superschur.algebra as algebra
+    import superschur.homology as homology
+    import superschur.verifier as verifier
+
+    counts, same = {}, []
+
+    def counted(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        return wrapper
+
+    def extend(rng, L, *args):
+        out = real_extend(rng, L, *args)
+        same.append(out is L)
+        return out
+
+    real_extend = verifier._extend_once
+    monkeypatch.setattr(homology.multiplier_dimension, "__wrapped__",
+                        counted("multiplier", homology.multiplier_dimension.__wrapped__))
+    monkeypatch.setattr(algebra.center, "__wrapped__",
+                        counted("center", algebra.center.__wrapped__))
+    monkeypatch.setattr(verifier, "validate", counted("validate", verifier.validate))
+    monkeypatch.setattr(verifier, "_extend_once", extend)
+    # nothing outlives a stream: the second one computes everything again
+    for _ in range(2):
+        counts.update(multiplier=0, center=0, validate=0)
+        same.clear()
+        scan(ScanConfig())
+        assert counts == {"multiplier": 380, "center": 115, "validate": 115}
+        # a step that kills every tail gives back its input object
+        assert (len(same), sum(same)) == (400, 220)
+
+
+def test_stream_yields_renamed_copies(scan_instances):
+    assert [L.name for L in scan_instances] == [f"scan1729n{i}" for i in range(200)]
+    # instances of one content share one facts dict
+    shared = {id(L._facts) for L in scan_instances}
+    assert len(shared) == len(set(map(_content, scan_instances))) == 115
+
+
 def test_generator_seeds_differ():
     a = [serialize(L) for L in generate_nilpotent(ScanConfig(samples=12, seed=1))]
     b = [serialize(L) for L in generate_nilpotent(ScanConfig(samples=12, seed=2))]
