@@ -34,7 +34,6 @@ from .homology import (
     MultiplierReport,
     PairSpace,
     TailExtension,
-    TripleSpace,
     boundary2,
     multiplier_dimension,
     relations3,
@@ -57,7 +56,7 @@ __all__ = [
     "EpicenterReport", "Field", "Finding", "GammaVerdict", "GradedSubspace",
     "Mod", "MultiplierReport", "PairSpace", "RATIONALS", "ScanConfig",
     "SuperDim", "Superalgebra", "SuperschurError", "TailExtension",
-    "TripleSpace", "ValidationReport", "abelian", "boundary2",
+    "ValidationReport", "abelian", "boundary2",
     "bracket", "center", "check_bounds", "complete_table", "component_series",
     "derived_subspace", "direct_sum", "emit_report", "epicenter", "family_4_2",
     "gamma", "generate_nilpotent", "get", "heisenberg3", "is_nilpotent", "load",

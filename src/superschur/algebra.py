@@ -161,18 +161,19 @@ class Superalgebra:
 
 
 def _per_algebra(fn):
-    """Memoize fn(L) on L itself, so the result lives exactly as long as L.
+    """Memoize fn(L, *key) on L itself, so the result lives exactly as long
+    as L; the extra arguments must be hashable.
 
-    Only small facts (subspaces, the series, the multiplier report) are
-    kept. Each miss calls the wrapper's `__wrapped__`, looked up at call
-    time, so a test can count how often a fact is actually computed.
+    This is the only cache of facts about an algebra. Each miss calls the
+    wrapper's `__wrapped__`, looked up at call time, so a test can count
+    how often a fact is actually computed.
     """
     @functools.wraps(fn)
-    def cached(L):
-        facts = L._facts
-        if fn.__name__ not in facts:
-            facts[fn.__name__] = cached.__wrapped__(L)
-        return facts[fn.__name__]
+    def cached(L, *key):
+        facts, key = L._facts, (fn.__name__, *key)
+        if key not in facts:
+            facts[key] = cached.__wrapped__(L, *key[1:])
+        return facts[key]
     return cached
 
 
@@ -223,6 +224,7 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+@_per_algebra
 def validate(L: Superalgebra) -> ValidationReport:
     """Check the graded Jacobi identity on all basis triples.
 
@@ -464,6 +466,14 @@ def quotient(L: Superalgebra, ideal: GradedSubspace) -> Superalgebra:
         name=f"{L.name}/K" if L.name else "quotient",
         labels=[L.label(i) for i in keep],
     )
+
+
+@_per_algebra
+def _line_quotient(L: Superalgebra, v: tuple) -> tuple[bool, Superalgebra]:
+    """(even, L/<v>) for a central line; v is its reduced echelon row, so
+    every scaling of one line shares this fact."""
+    k = GradedSubspace.from_vectors(L.field, L.dims, [v])
+    return k.dim.even == 1, quotient(L, k)
 
 
 def direct_sum(a: Superalgebra, b: Superalgebra) -> Superalgebra:

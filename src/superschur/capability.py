@@ -20,10 +20,10 @@ from .algebra import (
     GradedSubspace,
     Superalgebra,
     _ad_rows,
+    _line_quotient,
     center,
     derived_subspace,
     is_nilpotent,
-    quotient,
 )
 from .errors import CrossCheckError, NotCentral, NotNilpotent, WrongDimension
 from .homology import (
@@ -46,7 +46,7 @@ def mono_criterion(L: Superalgebra, K: GradedSubspace) -> bool:
     if not center(L).contains(K):
         raise NotCentral("K is not contained in the center")
     m_l = multiplier_dimension(L).dim_multiplier
-    h = quotient(L, K)
+    _, h = _line_quotient(L, K.full_vectors()[0])
     m_h = multiplier_dimension(h).dim_multiplier
     k_in_sq = 1 if derived_subspace(L).contains(K) else 0
     return m_l == m_h - k_in_sq
@@ -74,7 +74,7 @@ class EpicenterReport:
 
 def _epicenter_subspace(L: Superalgebra) -> GradedSubspace:
     ps = PairSpace.of(L)
-    _, residues = _tail_residues(L, ps)
+    _, residues = _tail_residues(L)
     total = L.dims.total
     rows = _ad_rows(L)  # centrality: [x, b_j] = 0 for all j
     # lift condition: sum_i x_i s(i, j) reduces to zero modulo the relations,

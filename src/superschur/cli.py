@@ -8,6 +8,7 @@ All results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,24 +72,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", parents=[common],
                         help="check the graded Jacobi identity of presentation files")
     sp.add_argument("files", nargs="+", metavar="FILE")
+    sp.set_defaults(run=_cmd_validate)
 
     sp = sub.add_parser("invariants", parents=[common],
                         help="dims, derived subalgebra, series, center, nilpotency")
     sp.add_argument("file", metavar="FILE")
+    sp.set_defaults(run=_cmd_invariants)
 
-    for name, desc in (("multiplier", "Schur multiplier dimension report"),
-                       ("capability", "epicenter and capability verdict"),
-                       ("gamma", "gamma defect and class match")):
+    for name, desc, compute in (
+            ("multiplier", "Schur multiplier dimension report", multiplier_dimension),
+            ("capability", "epicenter and capability verdict", epicenter),
+            ("gamma", "gamma defect and class match", gamma)):
         sp = sub.add_parser(name, parents=[common], help=desc)
         sp.add_argument("file", nargs="?", metavar="FILE")
         sp.add_argument("--catalog", dest="catalog_name", metavar="NAME",
                         help="use a built-in catalog entry")
+        sp.set_defaults(run=functools.partial(_cmd_report, compute=compute))
 
     sp = sub.add_parser("catalog", parents=[common], help="list catalog entries")
     sp.add_argument("--tag", default=None)
+    sp.set_defaults(run=_cmd_catalog)
 
-    sub.add_parser("verify-table1", parents=[common],
-                   help="recompute all named multiplier dimensions")
+    sp = sub.add_parser("verify-table1", parents=[common],
+                        help="recompute all named multiplier dimensions")
+    sp.set_defaults(run=_cmd_verify_table1)
 
     sp = sub.add_parser("scan", parents=[common],
                         help="stress-test the dimension bounds on generated instances")
@@ -96,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_nonnegative, default=None)
     sp.add_argument("--max-dim", type=_nonnegative, nargs=2, metavar=("M", "N"), default=None)
     sp.add_argument("--depth", type=_nonnegative, default=None)
+    sp.set_defaults(run=_cmd_scan)
     return p
 
 
@@ -218,33 +226,15 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "multiplier":
-            return _cmd_report(args, multiplier_dimension)
-        if args.command == "capability":
-            return _cmd_report(args, epicenter)
-        if args.command == "gamma":
-            return _cmd_report(args, gamma)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "verify-table1":
-            return _cmd_verify_table1(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (PresentationSyntaxError, UndeclaredLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SuperschurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

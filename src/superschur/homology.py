@@ -70,53 +70,33 @@ class PairSpace:
         return self.index[(j, i)], (1 if (L.parity(i) and L.parity(j)) else -1)
 
 
-@dataclass(frozen=True)
-class TripleSpace:
-    """Canonical graded triples: strictly increasing even indices, weakly
-    increasing odd indices. These span all Jacobi relations because the
-    defect is super-alternating in its three slots."""
-
-    dims: SuperDim
-    triples: tuple
-
-    @classmethod
-    def of(cls, L: Superalgebra) -> "TripleSpace":
-        m, total = L.dims.even, L.dims.total
-        ev = range(m)
-        od = range(m, total)
-        triples = [(i, j, k) for i in ev for j in ev if j > i for k in ev if k > j]
-        triples += [(i, j, k) for i in ev for j in ev if j > i for k in od]
-        triples += [(i, j, k) for i in ev for j in od for k in od if k >= j]
-        triples += [(i, j, k) for i in od for j in od if j >= i for k in od if k >= j]
-        return cls(L.dims, tuple(triples))
-
-    @property
-    def dim(self) -> int:
-        return len(self.triples)
-
-
-def boundary2(L: Superalgebra, pspace: PairSpace | None = None) -> LinearMap:
+def boundary2(L: Superalgebra) -> LinearMap:
     """Pair (i, j) -> [b_i, b_j]; its rank is dim L^2."""
-    ps = pspace or PairSpace.of(L)
     cols = []
-    for (i, j) in ps.pairs:
+    for (i, j) in PairSpace.of(L).pairs:
         t = L.bracket_basis(i, j) or ()
         cols.append({k: c for k, c in enumerate(t) if c})
     return LinearMap(L.field, L.dims.total, tuple(cols))
 
 
-def relations3(L: Superalgebra, pspace: PairSpace | None = None,
-               tspace: TripleSpace | None = None) -> LinearMap:
+def relations3(L: Superalgebra) -> LinearMap:
     """Jacobi-defect tail vectors, one sparse column per canonical triple.
 
-    For the triple (x, y, z) the column collects the tails of
+    The canonical triples have strictly increasing even indices and weakly
+    increasing odd indices; they span all Jacobi relations because the
+    defect is super-alternating in its three slots. For the triple
+    (x, y, z) the column collects the tails of
     [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] in the tail extension,
     writing s(b, a) = -(-1)^{|a||b|} s(a, b). Composing with boundary2
     gives zero exactly, because L itself satisfies the Jacobi identity.
     """
-    ps = pspace or PairSpace.of(L)
-    ts = tspace or TripleSpace.of(L)
+    ps = PairSpace.of(L)
     zero = L.field.zero
+    ev, od = range(L.dims.even), range(L.dims.even, L.dims.total)
+    triples = [(i, j, k) for i in ev for j in ev if j > i for k in ev if k > j]
+    triples += [(i, j, k) for i in ev for j in ev if j > i for k in od]
+    triples += [(i, j, k) for i in ev for j in od for k in od if k >= j]
+    triples += [(i, j, k) for i in od for j in od if j >= i for k in od if k >= j]
 
     def add_tails(col, t, sign, fixed, fixed_first):
         """col += sign * sum_l t_l s(fixed, l), or s(l, fixed), for a bracket t of L."""
@@ -131,7 +111,7 @@ def relations3(L: Superalgebra, pspace: PairSpace | None = None,
                     col[idx] = prev + c if s * sign == 1 else prev - c
 
     cols = []
-    for (x, y, z) in ts.triples:
+    for (x, y, z) in triples:
         col = {}
         add_tails(col, L.bracket_basis(y, z), 1, x, True)
         add_tails(col, L.bracket_basis(x, y), -1, z, False)
@@ -140,18 +120,20 @@ def relations3(L: Superalgebra, pspace: PairSpace | None = None,
     return LinearMap(L.field, ps.dim, tuple(cols))
 
 
-def _tail_residues(L: Superalgebra, ps: PairSpace) -> tuple[list, list]:
+def _tail_residues(L: Superalgebra) -> tuple[list, list]:
     """Each tail unit vector e_t modulo the relation span, read off its RREF.
 
     The residue of e_t is e_t itself for a free column t and e_t minus its
     pivot row otherwise; either way it lives on the free columns. Returns
-    (free columns, residues), residues[t] a {free column: scalar} dict.
+    (free columns, residues), residues[t] a {free column: scalar} dict,
+    with t indexing `PairSpace.of(L).pairs`.
     """
-    rows, pivots = rref(relations3(L, ps).columns)
-    residues = [{t: L.field.one} for t in range(ps.dim)]
+    rel = relations3(L)
+    rows, pivots = rref(rel.columns)
+    residues = [{t: L.field.one} for t in range(rel.codomain_dim)]
     for row, p in zip(rows, pivots):
         residues[p] = {k: -x for k, x in row.items() if k != p}
-    free = sorted(set(range(ps.dim)).difference(pivots))
+    free = sorted(set(range(rel.codomain_dim)).difference(pivots))
     return free, residues
 
 
@@ -184,13 +166,13 @@ def multiplier_dimension(L: Superalgebra) -> MultiplierReport:
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     t0 = time.perf_counter()
-    ps = PairSpace.of(L)
     dim_derived = derived_subspace(L).dim.total
-    rank_rel = mat_rank(relations3(L, ps).columns)
-    dim_mult = ps.dim - dim_derived - rank_rel
+    rel = relations3(L)
+    rank_rel = mat_rank(rel.columns)
+    dim_mult = rel.codomain_dim - dim_derived - rank_rel
     m, n = L.dims.even, L.dims.odd
     gamma = m + 2 * n - 2 - dim_mult if gamma_in_scope(L, dim_derived) else None
-    return MultiplierReport(ps.dim, dim_derived, rank_rel, dim_mult, gamma,
+    return MultiplierReport(rel.codomain_dim, dim_derived, rank_rel, dim_mult, gamma,
                             time.perf_counter() - t0)
 
 
@@ -218,12 +200,13 @@ def _fresh_labels(existing, count, stem="t"):
     return out
 
 
+@_per_algebra
 def tail_extension(L: Superalgebra) -> TailExtension:
     """Build E = L + tails with [b_i, b_j]_E = [b_i, b_j]_L + s(i, j) mod relations."""
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     ps = PairSpace.of(L)
-    free, residues = _tail_residues(L, ps)
+    free, residues = _tail_residues(L)
     free_even = [t for t in free if ps.parities[t] == EVEN]
     free_odd = [t for t in free if ps.parities[t] == 1]
     w0, w1 = len(free_even), len(free_odd)

@@ -254,11 +254,6 @@ def _report_dict(report) -> dict:
                    dimDerived=report.report.dim_derived,
                    rankRelations=report.report.rank_relations,
                    dimMultiplier=report.report.dim_multiplier)
-    elif isinstance(report, dict):
-        for k, v in report.items():
-            if k not in doc:
-                raise KeyError(f"unknown report key {k!r}")
-            doc[k] = v
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
     return doc
@@ -285,8 +280,6 @@ def emit_report(report, format: str = "human") -> str:
                 ("gamma", "undefined" if report.gamma is None else report.gamma),
                 ("class match", report.class_match or "none"),
                 ("dim multiplier", report.report.dim_multiplier)]
-    elif isinstance(report, dict):
-        rows = list(report.items())
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
     width = max(len(str(k)) for k, _ in rows)

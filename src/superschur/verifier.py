@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from .algebra import (
     GradedSubspace,
     Superalgebra,
-    _per_algebra,
+    _line_quotient,
     center,
     derived_subspace,
     is_nilpotent,
@@ -95,22 +95,11 @@ def _intern(algebras: dict, L: Superalgebra) -> Superalgebra:
     return algebras.setdefault((L.dims, L.labels, tuple(sorted(L.table.items()))), L)
 
 
-# Facts of a stream's algebras, kept with the rest of their facts.
-@_per_algebra
-def _tail(L: Superalgebra):
-    return tail_extension(L)
-
-
-@_per_algebra
-def _validation(L: Superalgebra):
-    return validate(L)
-
-
 def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
                  algebras: dict) -> Superalgebra:
     """A random central quotient of L's tail extension, interned in
     `algebras`; L itself when every tail is killed."""
-    ext = _tail(L)
+    ext = tail_extension(L)
     w = ext.kernel.dim
     room0 = max_even - L.dims.even
     room1 = max_odd - L.dims.odd
@@ -139,7 +128,7 @@ def generate_nilpotent(config: ScanConfig):
         L = _intern(algebras, abelian(m0, n0, config.field))
         for _ in range(config.depth):
             L = _extend_once(rng, L, config.max_even, config.max_odd, algebras)
-        rep = _validation(L)
+        rep = validate(L)
         if not rep.ok or not is_nilpotent(L):
             raise SuperschurError(
                 f"generator produced an invalid instance at index {index}: {rep}")
@@ -174,6 +163,8 @@ def reproduce_table1() -> Table1Report:
         e = entry(name)
         L = get(name)
         computed = multiplier_dimension(L).dim_multiplier
+        if name == "(2|3)_18":
+            l18, computed18 = L, computed
         rows.append(Table1Row(name, e.expected_multiplier_dim,
                               e.printed_multiplier_dim, computed,
                               computed == e.expected_multiplier_dim))
@@ -192,8 +183,6 @@ def reproduce_table1() -> Table1Report:
             ))
     # the gamma = 2 classification list includes (2|3)_18, which would force
     # dim M = m + 2n - 4 = 4; the computed value is 2 (matching the table)
-    l18 = get("(2|3)_18")
-    computed18 = multiplier_dimension(l18).dim_multiplier
     findings.append(Finding(
         claim="Thm2.6(iii)",
         instance=serialize(l18),
@@ -281,18 +270,15 @@ _SCANNED = [(claim, c) for claim, c in _TABLE.items() if c.bounds is not _PRINTE
 
 
 def _facts(L: Superalgebra, v=None) -> SimpleNamespace:
-    """What the claims read of L, and of its central line K = <v> if given."""
+    """What the claims read of L, and of its central line K = <v> if given,
+    v a reduced echelon row of the center."""
     rep = multiplier_dimension(L)
     m, n = L.dims.even, L.dims.odd
     f = SimpleNamespace(m=m, n=n, d2=rep.dim_derived, dim_m=rep.dim_multiplier,
                         gamma=rep.gamma, abelian=L.is_abelian(),
                         cap=((m + n) ** 2 + (n - m)) // 2, details={})
     if v is not None:
-        lines, key = L._facts.setdefault("line_quotients", {}), tuple(v)
-        if key not in lines:  # kept with L's facts, shared by its renamed copies
-            k = GradedSubspace.from_vectors(L.field, L.dims, [v])
-            lines[key] = k.dim.even == 1, quotient(L, k)
-        f.even, h = lines[key]
+        f.even, h = _line_quotient(L, tuple(v))
         f.in_l2 = 1 if derived_subspace(L).contains_vector(v) else 0
         f.h2 = derived_subspace(h).dim.total
         f.dim_mh = multiplier_dimension(h).dim_multiplier

@@ -1,7 +1,9 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superschur import (
     GradedSubspace,
@@ -21,7 +23,7 @@ from superschur import (
 from superschur import algebra, homology
 from superschur.capability import GAMMA_CLASS_NAMES, fingerprint
 from superschur.errors import NotCentral, NotNilpotent, WrongDimension
-from superschur.fields import RATIONALS
+from superschur.fields import RATIONALS, Field
 
 
 def _line(L, index):
@@ -149,6 +151,45 @@ def test_cross_check_runs_on_every_center_line():
         assert len(rep.per_generator) == center(L).dim.total
         for chk in rep.per_generator:
             assert chk.mono == chk.in_epicenter
+
+
+@pytest.fixture(scope="module")
+def wide_center_blocks(scan_instances):
+    """Per source (the catalog over Q, F_5 and F_7, the default scan), the
+    pairs (L, rows) for every parity block of Z(L) of dim >= 2."""
+    sources = [[get(name, fld) for name in names()] for fld in (RATIONALS, Field(5), Field(7))]
+    out = []
+    for instances in sources + [scan_instances]:
+        out.append([])
+        for L in instances:
+            rows, even = center(L).full_vectors(), center(L).dim.even
+            out[-1] += [(L, block) for block in (rows[:even], rows[even:]) if len(block) >= 2]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_central_lines_agree_with_the_epicenter(wide_center_blocks, data):
+    # homogeneous central lines that are not basis-aligned: F_5 and F_7
+    # projective points, small integer combinations over Q
+    L, block = data.draw(st.sampled_from(data.draw(st.sampled_from(wide_center_blocks))))
+    fld = L.field
+    scalars = st.integers(-3, 3) if fld.is_rational else st.integers(0, fld.p - 1)
+    coeffs = data.draw(st.lists(scalars, min_size=len(block), max_size=len(block))
+                       .filter(lambda cs: sum(1 for c in cs if c) >= 2))
+    v = [sum((fld.of(c) * row[k] for c, row in zip(coeffs, block)), fld.zero)
+         for k in range(L.dims.total)]
+    scale = fld.of(data.draw(scalars.filter(lambda c: c not in (0, 1))))
+    fresh = Superalgebra(L.field, L.dims, L.labels, L.table, L.name)  # no facts yet
+    computed = []
+    real = algebra._line_quotient.__wrapped__
+    with mock.patch.object(algebra._line_quotient, "__wrapped__",
+                           lambda A, row: computed.append(row) or real(A, row)):
+        mono = mono_criterion(fresh, GradedSubspace.from_vectors(fld, L.dims, [v]))
+        scaled = GradedSubspace.from_vectors(fld, L.dims, [[scale * x for x in v]])
+        assert mono_criterion(fresh, scaled) == mono
+    assert len(computed) == 1  # both scalings of the line read one quotient
+    assert epicenter(fresh).epicenter.contains_vector(v) == mono
 
 
 def test_epicenter_requires_nilpotent():

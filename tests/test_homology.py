@@ -9,7 +9,6 @@ from superschur import (
     PairSpace,
     SuperDim,
     Superalgebra,
-    TripleSpace,
     abelian,
     boundary2,
     center,
@@ -63,11 +62,11 @@ def test_pair_space_dimension_formula(m, n):
 
 def test_triple_space_dimension_2_3():
     # C(2,3) + C(2,2)*3 + 2*C(4,2) + C(5,3) = 0 + 3 + 12 + 10
-    assert TripleSpace.of(get("(2|3)_22")).dim == 25
+    assert relations3(get("(2|3)_22")).domain_dim == 25
 
 
 def test_triple_space_dimension_2_2():
-    assert TripleSpace.of(get("(2|2)_1")).dim == 12
+    assert relations3(get("(2|2)_1")).domain_dim == 12
 
 
 def test_pair_parities_split():
@@ -117,7 +116,7 @@ def test_relation_vectors_2_3_22():
     """Specific Jacobi relations: tails forced to zero or tied together."""
     L = get("(2|3)_22")
     ps = PairSpace.of(L)
-    rows, piv = rref(relations3(L, ps).columns)
+    rows, piv = rref(relations3(L).columns)
     echelon = dict(zip(piv, rows))
 
     def unit(pair, coeff=1):

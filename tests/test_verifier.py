@@ -73,10 +73,11 @@ def _content(L):
 
 
 def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
+    import superschur.homology as homology
     import superschur.verifier as verifier
 
     built, extended = [], []
-    real_tail, real_extend = verifier.tail_extension, verifier._extend_once
+    real_tail, real_extend = homology.tail_extension.__wrapped__, verifier._extend_once
 
     def tail(L):
         built.append(_content(L))
@@ -86,7 +87,8 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
         extended.append(_content(L))
         return real_extend(rng, L, *args)
 
-    monkeypatch.setattr(verifier, "tail_extension", tail)
+    # a memoized fact is computed by its `__wrapped__`, so cache hits are not counted
+    monkeypatch.setattr(homology.tail_extension, "__wrapped__", tail)
     monkeypatch.setattr(verifier, "_extend_once", extend)
     list(generate_nilpotent(ScanConfig()))
     assert len(extended) == 400
@@ -100,7 +102,8 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
 def test_stream_shares_facts_across_repeated_instances(monkeypatch):
     # the default stream yields 115 distinct algebras among 200 instances;
     # each fact is computed once per distinct algebra (656 multipliers, 200
-    # centers and 200 validations when every instance had its own)
+    # centers and 200 validations when every instance had its own), and each
+    # central line's quotient once per line of a distinct algebra
     import superschur.algebra as algebra
     import superschur.homology as homology
     import superschur.verifier as verifier
@@ -119,18 +122,16 @@ def test_stream_shares_facts_across_repeated_instances(monkeypatch):
         return out
 
     real_extend = verifier._extend_once
-    monkeypatch.setattr(homology.multiplier_dimension, "__wrapped__",
-                        counted("multiplier", homology.multiplier_dimension.__wrapped__))
-    monkeypatch.setattr(algebra.center, "__wrapped__",
-                        counted("center", algebra.center.__wrapped__))
-    monkeypatch.setattr(verifier, "validate", counted("validate", verifier.validate))
+    for key, fn in (("multiplier", homology.multiplier_dimension), ("center", algebra.center),
+                    ("validate", algebra.validate), ("line", algebra._line_quotient)):
+        monkeypatch.setattr(fn, "__wrapped__", counted(key, fn.__wrapped__))
     monkeypatch.setattr(verifier, "_extend_once", extend)
     # nothing outlives a stream: the second one computes everything again
     for _ in range(2):
-        counts.update(multiplier=0, center=0, validate=0)
+        counts.update(multiplier=0, center=0, validate=0, line=0)
         same.clear()
         scan(ScanConfig())
-        assert counts == {"multiplier": 380, "center": 115, "validate": 115}
+        assert counts == {"multiplier": 380, "center": 115, "validate": 115, "line": 265}
         # a step that kills every tail gives back its input object
         assert (len(same), sum(same)) == (400, 220)
 
