@@ -312,10 +312,6 @@ class GradedSubspace:
         return cls(field, dims, dict(zip(pivots, pivot_rows)))
 
     @classmethod
-    def zero(cls, field, dims) -> "GradedSubspace":
-        return cls(field, dims, {})
-
-    @classmethod
     def full(cls, field, dims) -> "GradedSubspace":
         return cls(field, dims, {k: {k: field.one} for k in range(dims.total)})
 

@@ -67,10 +67,6 @@ class EpicenterReport:
     capable: bool
     per_generator: tuple
 
-    def __str__(self):
-        return (f"epicenter dim = {self.epicenter.dim}, capable = {self.capable}, "
-                f"{len(self.per_generator)} generator check(s)")
-
 
 def _epicenter_subspace(L: Superalgebra) -> GradedSubspace:
     ps = PairSpace.of(L)
@@ -135,14 +131,6 @@ class GammaVerdict:
     class_match: str | None
     report: MultiplierReport
 
-    def __str__(self):
-        if not self.in_scope:
-            return "gamma undefined (out of scope)"
-        return f"gamma = {self.gamma}, class match = {self.class_match or 'none'}"
-
-
-GAMMA_CLASS_NAMES = ("(2|2)_4", "(2|2)_6", "(1|3)_1", "(3|2)_13", "(2|3)_18")
-
 
 def fingerprint(L: Superalgebra) -> tuple:
     """Invariant fingerprint: superdims of L, L^2 and Z(L), dim M, gamma."""
@@ -155,9 +143,9 @@ def fingerprint(L: Superalgebra) -> tuple:
 
 @functools.cache
 def _class_fingerprints() -> dict:
-    from .catalog import get
+    from .catalog import get, names
 
-    return {name: fingerprint(get(name)) for name in GAMMA_CLASS_NAMES}
+    return {name: fingerprint(get(name)) for name in names("gamma2-list")}
 
 
 def gamma(L: Superalgebra) -> GammaVerdict:

@@ -56,10 +56,7 @@ _ENTRIES = {
     )
 }
 
-TABLE1_ORDER = (
-    "(2|2)_1", "(2|2)_4", "(2|2)_6", "(1|3)_1", "(1|4)_7", "(3|2)_5",
-    "(3|2)_13", "(2|3)_18", "(2|3)_19", "(2|3)_22", "(2|3)_23",
-)
+TABLE1_ORDER = tuple(_ENTRIES)
 
 
 def names(tag: str | None = None) -> list[str]:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import Field, RATIONALS
 from .homology import multiplier_dimension
-from .presentation import emit_report, load
+from .presentation import _aligned, emit_report, load
 from .verifier import ScanConfig, reproduce_table1, scan
 
 
@@ -159,12 +159,7 @@ def _cmd_invariants(args) -> int:
         "nilpotent by components": nilpotent_by_components(L),
         "component series lengths": f"even {len(ev)}, odd {len(od)}",
     }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        width = max(len(k) for k in doc)
-        for k, v in doc.items():
-            print(f"{k.ljust(width)}  {v}")
+    print(json.dumps(doc, indent=2) if args.json else _aligned(doc.items()))
     return 0
 
 

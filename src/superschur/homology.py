@@ -40,7 +40,6 @@ class PairSpace:
     is exactly the multiplier dimension of the abelian (m|n) superalgebra.
     """
 
-    dims: SuperDim
     pairs: tuple
     index: dict
     parities: tuple
@@ -55,7 +54,7 @@ class PairSpace:
         parities = tuple((L.parity(i) + L.parity(j)) % 2 for i, j in pairs)
         mt, n = L.dims.even, L.dims.odd
         assert len(pairs) == ((mt + n) ** 2 + (n - mt)) // 2
-        return cls(L.dims, tuple(pairs), index, parities)
+        return cls(tuple(pairs), index, parities)
 
     @property
     def dim(self) -> int:
@@ -153,12 +152,6 @@ class MultiplierReport:
     gamma: int | None
     timing: float
 
-    def __str__(self):
-        g = "undefined" if self.gamma is None else str(self.gamma)
-        return (f"dim C2 = {self.dim_c2}, dim L^2 = {self.dim_derived}, "
-                f"rank relations = {self.rank_relations}, "
-                f"dim M = {self.dim_multiplier}, gamma = {g}")
-
 
 @_per_algebra
 def multiplier_dimension(L: Superalgebra) -> MultiplierReport:
@@ -187,12 +180,12 @@ class TailExtension:
     kernel: GradedSubspace
 
 
-def _fresh_labels(existing, count, stem="t"):
+def _fresh_labels(existing, count):
     out = []
     k = 1
     used = set(existing)
     while len(out) < count:
-        cand = f"{stem}{k}"
+        cand = f"t{k}"
         if cand not in used:
             out.append(cand)
             used.add(cand)

@@ -16,7 +16,6 @@ import functools
 import heapq
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
 from .fields import Field
 
 
@@ -90,17 +89,11 @@ def rref(rows):
 
     Zero rows are dropped, leading entries are 1 and pivot columns are
     cleared above and below, so the result is the canonical representation
-    of the row space. Pivot rows come back as tuples for dense input rows
-    and as {column: scalar} dicts for sparse ones.
+    of the row space. Pivot rows are {column: scalar} dicts.
     """
-    rows = list(rows)
     echelon = _echelon(rows, reduced=True)
     pivots = sorted(echelon)
-    out = [echelon[c] for c in pivots]
-    if out and not isinstance(rows[0], dict):
-        z = 0 * out[0][pivots[0]]
-        out = [tuple(r.get(k, z) for k in range(len(rows[0]))) for r in out]
-    return out, pivots
+    return [echelon[c] for c in pivots], pivots
 
 
 def mat_rank(rows) -> int:
@@ -132,10 +125,9 @@ def reduce_vector(vec, echelon: dict) -> dict:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A (codomain dim) x (domain dim) matrix acting on coordinate columns.
-
-    It is stored as one sparse column per domain basis vector, a
-    {row: scalar} dict without zeros; `rows` is a dense view built on use.
+    """A (codomain dim) x (domain dim) matrix as a column container: one
+    sparse column per domain basis vector, a {row: scalar} dict without
+    zeros; `rows` is a dense view built on use.
     """
 
     field: Field
@@ -151,22 +143,3 @@ class LinearMap:
         z = self.field.zero
         return tuple(tuple(col.get(r, z) for col in self.columns)
                      for r in range(self.codomain_dim))
-
-    def rank(self) -> int:
-        return mat_rank(self.columns)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        if other.codomain_dim != self.domain_dim:
-            raise DimensionMismatch("composition shape mismatch")
-        cols = []
-        for col in other.columns:
-            out = {}
-            for j, x in col.items():
-                for r, c in self.columns[j].items():
-                    out[r] = out[r] + c * x if r in out else c * x
-            cols.append({r: v for r, v in out.items() if v})
-        return LinearMap(self.field, self.codomain_dim, tuple(cols))
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)

@@ -239,48 +239,45 @@ _JSON_KEYS = ("dimC2", "dimDerived", "rankRelations", "dimMultiplier",
               "gamma", "capable", "epicenterDim", "discrepancies")
 
 
-def _report_dict(report) -> dict:
-    doc = {k: None for k in _JSON_KEYS}
-    doc["discrepancies"] = []
-    if isinstance(report, MultiplierReport):
-        doc.update(dimC2=report.dim_c2, dimDerived=report.dim_derived,
-                   rankRelations=report.rank_relations,
-                   dimMultiplier=report.dim_multiplier, gamma=report.gamma)
-    elif isinstance(report, EpicenterReport):
-        doc.update(capable=report.capable,
-                   epicenterDim=report.epicenter.dim.total)
-    elif isinstance(report, GammaVerdict):
-        doc.update(gamma=report.gamma, dimC2=report.report.dim_c2,
-                   dimDerived=report.report.dim_derived,
-                   rankRelations=report.report.rank_relations,
-                   dimMultiplier=report.report.dim_multiplier)
-    else:
-        raise TypeError(f"cannot emit report of type {type(report).__name__}")
-    return doc
+def _multiplier_fields(rep: MultiplierReport) -> dict:
+    return dict(dimC2=rep.dim_c2, dimDerived=rep.dim_derived,
+                rankRelations=rep.rank_relations, dimMultiplier=rep.dim_multiplier,
+                gamma=rep.gamma)
+
+
+def _aligned(rows) -> str:
+    """(key, value) rows as text, values aligned in one column."""
+    rows = list(rows)
+    width = max(len(k) for k, _ in rows)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
 def emit_report(report, format: str = "human") -> str:
-    """Render a report: aligned key/value text, or one stable JSON document."""
-    if format == "json":
-        return json.dumps(_report_dict(report), indent=2)
+    """Render a report: aligned key/value text, or one stable JSON document
+    with every key of `_JSON_KEYS`, null where the report has no value."""
     if isinstance(report, MultiplierReport):
+        fields = _multiplier_fields(report)
         rows = [("dim C2", report.dim_c2), ("dim L^2", report.dim_derived),
                 ("rank relations", report.rank_relations),
                 ("dim multiplier", report.dim_multiplier),
                 ("gamma", "undefined" if report.gamma is None else report.gamma),
                 ("time (s)", f"{report.timing:.4f}")]
     elif isinstance(report, EpicenterReport):
+        fields = dict(capable=report.capable, epicenterDim=report.epicenter.dim.total)
         rows = [("epicenter dim", str(report.epicenter.dim)),
                 ("capable", str(report.capable).lower())]
         for chk in report.per_generator:
             rows.append((f"  {chk.description}",
                          f"mono={chk.mono} epicenter={chk.in_epicenter}"))
     elif isinstance(report, GammaVerdict):
+        fields = _multiplier_fields(report.report)
         rows = [("in scope", str(report.in_scope).lower()),
                 ("gamma", "undefined" if report.gamma is None else report.gamma),
                 ("class match", report.class_match or "none"),
                 ("dim multiplier", report.report.dim_multiplier)]
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
-    width = max(len(str(k)) for k, _ in rows)
-    return "\n".join(f"{str(k).ljust(width)}  {v}" for k, v in rows)
+    if format == "json":
+        doc = dict.fromkeys(_JSON_KEYS) | {"discrepancies": []} | fields
+        return json.dumps(doc, indent=2)
+    return _aligned(rows)

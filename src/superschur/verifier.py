@@ -118,13 +118,15 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
 def generate_nilpotent(config: ScanConfig):
     """Deterministic stream of validated nilpotent instances within budget;
     instances of one content are renamed copies sharing one algebra's facts."""
+    if config.max_even + config.max_odd == 0:
+        raise SuperschurError("the dimension budget (0|0) admits no nonzero algebra")
     algebras = {}  # content -> algebra, for this stream only
     for index in range(config.samples):
         rng = random.Random(f"{config.seed}:{index}")
         m0 = rng.randint(0, config.max_even)
         n0 = rng.randint(0, config.max_odd)
-        if m0 + n0 == 0:
-            n0 = 1
+        if m0 + n0 == 0:  # seed one basis vector, inside the budget
+            m0, n0 = (0, 1) if config.max_odd else (1, 0)
         L = _intern(algebras, abelian(m0, n0, config.field))
         for _ in range(config.depth):
             L = _extend_once(rng, L, config.max_even, config.max_odd, algebras)
@@ -265,7 +267,6 @@ _TABLE = {
                          bounds=_PRINTED),
 }
 
-CLAIMS = {claim: c.desc for claim, c in _TABLE.items()}
 _SCANNED = [(claim, c) for claim, c in _TABLE.items() if c.bounds is not _PRINTED]
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 from superschur import GradedSubspace, Superalgebra
+from superschur.linalg import LinearMap
 from superschur.errors import DimensionMismatch
 
 
@@ -52,3 +53,17 @@ def subspace_sum(a, b):
 def intersection_dim(a, b):
     """dim (a meet b) = dim a + dim b - dim (a + b)."""
     return a.dim.total + b.dim.total - subspace_sum(a, b).dim.total
+
+
+def compose(a, b):
+    """The LinearMap a after b."""
+    if b.codomain_dim != a.domain_dim:
+        raise DimensionMismatch("composition shape mismatch")
+    cols = []
+    for col in b.columns:
+        out = {}
+        for j, x in col.items():
+            for r, c in a.columns[j].items():
+                out[r] = out[r] + c * x if r in out else c * x
+        cols.append({r: v for r, v in out.items() if v})
+    return LinearMap(a.field, a.codomain_dim, tuple(cols))

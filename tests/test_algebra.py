@@ -337,7 +337,7 @@ def test_derived_of_2_3_22():
 
 def test_product_with_zero_is_zero():
     L = get("(2|2)_4")
-    z = GradedSubspace.zero(RATIONALS, D22)
+    z = GradedSubspace(RATIONALS, D22, {})
     assert product_subspace(L, GradedSubspace.full(RATIONALS, D22), z).is_zero()
 
 

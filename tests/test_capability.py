@@ -21,7 +21,7 @@ from superschur import (
     verify_no_low_gamma,
 )
 from superschur import algebra, homology
-from superschur.capability import GAMMA_CLASS_NAMES, fingerprint
+from superschur.capability import fingerprint
 from superschur.errors import NotCentral, NotNilpotent, WrongDimension
 from superschur.fields import RATIONALS, Field
 
@@ -115,7 +115,7 @@ def test_epicenter_abelian_total_at_least_2_capable(m, n):
     assert epicenter(abelian(m, n)).capable
 
 
-@pytest.mark.parametrize("name", GAMMA_CLASS_NAMES)
+@pytest.mark.parametrize("name", names("gamma2-list"))
 def test_named_gamma2_algebras_are_capable(name):
     rep = epicenter(get(name))
     assert rep.capable and rep.epicenter.is_zero()

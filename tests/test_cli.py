@@ -1,8 +1,10 @@
+import hashlib
 import json
+import re
 
 import pytest
 
-from superschur.catalog import data_path
+from superschur.catalog import data_path, names
 from superschur.cli import main
 
 BROKEN = """\
@@ -130,6 +132,26 @@ def test_negative_scan_count_is_usage_error(option, value, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+# sha256 of every report command's output on every catalog entry, human and
+# --json, then `invariants` on every shipped data file, each block headed by
+# its command line and exit code, with the `time (s)` value masked.
+REPORTS_SHA256 = "1771d00f2820a6e0d238236b942f0ad41ff98a9c22ac0fc08be975790c19ed03"
+
+
+def test_report_output_bytes_are_pinned(capsys):
+    blocks = []
+    for argv in ([cmd, "--catalog", n, *fmt] for cmd in ("multiplier", "capability", "gamma")
+                 for n in names() for fmt in ((), ("--json",))):
+        code, out, _ = run(capsys, *argv)
+        blocks.append(f"$ {' '.join(argv)} -> {code}\n{out}")
+    for n in names():
+        path = data_path(n)
+        code, out, _ = run(capsys, "invariants", str(path))
+        blocks.append(f"$ invariants {path.name} -> {code}\n{out}")
+    text = re.sub(r"(?m)^(time \(s\)\s+)\S+$", r"\1*", "".join(blocks))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
+
+
 def test_verify_table1(capsys):
     code, out, _ = run(capsys, "verify-table1")
     assert code == 0
@@ -164,6 +186,11 @@ def test_scan_json_reports_evaluated_per_claim(capsys):
     assert code == 0
     assert list(doc) == ["summary", "evaluated", "findings"]
     assert doc["evaluated"]["Thm1.2"] == 10
+
+
+def test_scan_empty_budget_exits_1(capsys):
+    code, out, err = run(capsys, "scan", "--max-dim", "0", "0")
+    assert code == 1 and not out and "(0|0)" in err
 
 
 def test_field_override(capsys):

@@ -12,6 +12,8 @@ from superschur.linalg import (
     rref,
 )
 
+from helpers import compose
+
 
 def _q(rows):
     return [[Fraction(x) for x in r] for r in rows]
@@ -20,7 +22,7 @@ def _q(rows):
 def test_rref_canonical():
     rows, piv = rref(_q([[2, 4, 0], [1, 2, 1]]))
     assert piv == [0, 2]
-    assert rows == [(1, 2, 0), (0, 0, 1)]
+    assert rows == [{0: 1, 1: 2}, {2: 1}]
 
 
 def test_rref_is_idempotent_and_order_independent():
@@ -121,11 +123,10 @@ def _check_against_sympy(ncols, rows, field, theirs):
     rank = len(want_piv)
     want = [tuple(field.of(x) for x in row) for row in want_rows[:rank]]
 
-    got_rows, got_piv = rref(dense)
-    assert got_piv == list(want_piv) and got_rows == want
-    got_rows, got_piv = rref(sparse)
-    assert got_piv == list(want_piv)
-    assert got_rows == [{c: x for c, x in enumerate(row) if x} for row in want]
+    for form in (dense, sparse):
+        got_rows, got_piv = rref(form)
+        assert got_piv == list(want_piv)
+        assert got_rows == [{c: x for c, x in enumerate(row) if x} for row in want]
     assert mat_rank(dense) == mat_rank(sparse) == rank
 
     for form in (dense, sparse):
@@ -164,7 +165,7 @@ def test_linear_map_apply_and_compose():
     a = LinearMap(RATIONALS, 2, ({0: Fraction(1)}, {0: Fraction(2), 1: Fraction(1)}))
     b = LinearMap(RATIONALS, 2, ({0: Fraction(1), 1: Fraction(-1)}, {1: Fraction(1)}))
     assert a.rows == ((1, 2), (0, 1)) and b.rows == ((1, 0), (-1, 1))
-    ab = a.compose(b)
+    ab = compose(a, b)
     assert ab.rows == ((-1, 2), (-1, 1))
-    assert not ab.is_zero()
-    assert a.rank() == 2
+    assert any(ab.columns)
+    assert mat_rank(a.columns) == 2

@@ -18,8 +18,9 @@ from superschur import (
     serialize,
     validate,
 )
+from superschur.errors import SuperschurError
 from superschur.fields import Field, RATIONALS
-from superschur.verifier import CLAIMS, Finding
+from superschur.verifier import _TABLE, Finding
 
 
 def test_generator_depth0_yields_abelians():
@@ -34,6 +35,19 @@ def test_generator_produces_valid_nilpotent(scan_instances):
     for L in scan_instances[:40]:
         assert validate(L).ok and is_nilpotent(L)
         assert L.dims.even <= 3 and L.dims.odd <= 3
+
+
+@pytest.mark.parametrize("max_even,max_odd",
+                         [(m, n) for m in range(4) for n in range(4) if m + n])
+def test_generator_stays_within_every_budget(max_even, max_odd):
+    cfg = ScanConfig(max_even=max_even, max_odd=max_odd, samples=40, seed=11)
+    for L in generate_nilpotent(cfg):
+        assert L.dims.total and L.dims.even <= max_even and L.dims.odd <= max_odd, L
+
+
+def test_generator_rejects_the_empty_budget():
+    with pytest.raises(SuperschurError):
+        next(generate_nilpotent(ScanConfig(max_even=0, max_odd=0)))
 
 
 def test_generator_is_deterministic():
@@ -213,7 +227,7 @@ def test_finding_json_lines():
 
 def test_claim_ids_documented():
     for f in reproduce_table1().findings:
-        assert f.claim in CLAIMS
+        assert f.claim in _TABLE
 
 
 # --- bound checks -----------------------------------------------------------
@@ -267,7 +281,7 @@ def test_default_scan_evaluated_counts_are_pinned():
     rep = scan(ScanConfig())
     assert rep.evaluated == DEFAULT_SCAN_EVALUATED
     assert (rep.gamma_checked, rep.gamma_skipped) == (15, 185)
-    assert set(rep.evaluated) == set(CLAIMS) - {"Table1", "Thm2.6(iii)"}
+    assert set(rep.evaluated) == set(_TABLE) - {"Table1", "Thm2.6(iii)"}
 
 
 def test_check_bounds_reports_low_gamma_itself(monkeypatch):
@@ -338,7 +352,7 @@ def test_scan_findings_under_multiplier_shifts_are_pinned(monkeypatch):
             assert replay(f) == f.observed, f.to_json()
             lines.append(f"{d_l} {d_h} {f.to_json()}")
             claims.add(f.claim)
-    assert claims == set(CLAIMS) - {"Table1", "Thm2.6(iii)"}
+    assert claims == set(_TABLE) - {"Table1", "Thm2.6(iii)"}
     assert len(lines) == SHIFTED_FINDINGS
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == SHIFTED_SHA256
