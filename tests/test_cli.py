@@ -75,6 +75,58 @@ def test_validate_multiple_files(tmp_path, capsys):
     assert code == 1
 
 
+BROKEN_F5 = """\
+superalgebra broken2
+field F 5
+even e1 e2
+odd f1 f2
+[e1, f1] = f2
+[f1, f1] = e2
+[f1, f2] = e1
+[e1, e2] = 2e2
+"""
+
+# every violating triple in order, with its dense lhs and rhs
+WITNESSES = {
+    "broken.lsa": [
+        "Jacobi fails at (e1, f1, f1): [e1,[f1,f1]] = [Fraction(0, 1), Fraction(0, 1)] but [[e1,f1],f1] + sign*[f1,[e1,f1]] = [Fraction(2, 1), Fraction(0, 1)]",
+        "Jacobi fails at (f1, e1, f1): [f1,[e1,f1]] = [Fraction(1, 1), Fraction(0, 1)] but [[f1,e1],f1] + sign*[e1,[f1,f1]] = [Fraction(-1, 1), Fraction(0, 1)]",
+        "Jacobi fails at (f1, f1, e1): [f1,[f1,e1]] = [Fraction(-1, 1), Fraction(0, 1)] but [[f1,f1],e1] + sign*[f1,[f1,e1]] = [Fraction(1, 1), Fraction(0, 1)]",
+        "Jacobi fails at (f1, f1, f1): [f1,[f1,f1]] = [Fraction(0, 1), Fraction(-1, 1)] but [[f1,f1],f1] + sign*[f1,[f1,f1]] = [Fraction(0, 1), Fraction(2, 1)]",
+    ],
+    "broken2.lsa": [
+        "Jacobi fails at (e1, f1, f1): [e1,[f1,f1]] = [0, 2, 0, 0] but [[e1,f1],f1] + sign*[f1,[e1,f1]] = [2, 0, 0, 0]",
+        "Jacobi fails at (e2, f1, f2): [e2,[f1,f2]] = [0, 3, 0, 0] but [[e2,f1],f2] + sign*[f1,[e2,f2]] = [0, 0, 0, 0]",
+        "Jacobi fails at (e2, f2, f1): [e2,[f2,f1]] = [0, 3, 0, 0] but [[e2,f2],f1] + sign*[f2,[e2,f1]] = [0, 0, 0, 0]",
+        "Jacobi fails at (f1, e1, f1): [f1,[e1,f1]] = [1, 0, 0, 0] but [[f1,e1],f1] + sign*[e1,[f1,f1]] = [4, 2, 0, 0]",
+        "Jacobi fails at (f1, e2, f2): [f1,[e2,f2]] = [0, 0, 0, 0] but [[f1,e2],f2] + sign*[e2,[f1,f2]] = [0, 3, 0, 0]",
+        "Jacobi fails at (f1, f1, e1): [f1,[f1,e1]] = [4, 0, 0, 0] but [[f1,f1],e1] + sign*[f1,[f1,e1]] = [1, 3, 0, 0]",
+        "Jacobi fails at (f1, f1, f2): [f1,[f1,f2]] = [0, 0, 0, 4] but [[f1,f1],f2] + sign*[f1,[f1,f2]] = [0, 0, 0, 1]",
+        "Jacobi fails at (f1, f2, e2): [f1,[f2,e2]] = [0, 0, 0, 0] but [[f1,f2],e2] + sign*[f2,[f1,e2]] = [0, 2, 0, 0]",
+        "Jacobi fails at (f1, f2, f1): [f1,[f2,f1]] = [0, 0, 0, 4] but [[f1,f2],f1] + sign*[f2,[f1,f1]] = [0, 0, 0, 1]",
+        "Jacobi fails at (f2, e2, f1): [f2,[e2,f1]] = [0, 0, 0, 0] but [[f2,e2],f1] + sign*[e2,[f2,f1]] = [0, 3, 0, 0]",
+        "Jacobi fails at (f2, f1, e2): [f2,[f1,e2]] = [0, 0, 0, 0] but [[f2,f1],e2] + sign*[f1,[f2,e2]] = [0, 2, 0, 0]",
+        "Jacobi fails at (f2, f1, f1): [f2,[f1,f1]] = [0, 0, 0, 0] but [[f2,f1],f1] + sign*[f1,[f2,f1]] = [0, 0, 0, 2]",
+    ],
+}
+
+
+def test_validate_witness_output_is_pinned(tmp_path, capsys):
+    files = {}
+    for name, text in (("broken.lsa", BROKEN), ("broken2.lsa", BROKEN_F5)):
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8")
+        files[str(f)] = WITNESSES[name]
+    code, out, _ = run(capsys, "validate", *files)
+    assert code == 1
+    assert out == "".join(f"{p}: INVALID\n" + "".join(f"  {w}\n" for w in ws)
+                          for p, ws in files.items())
+    code, out, _ = run(capsys, "validate", "--json", *files)
+    assert code == 1
+    doc = {"files": [{"path": p, "ok": False, "violations": ws} for p, ws in files.items()]}
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_invariants(capsys):
     path = str(data_path("(1|3)_1"))
     code, out, _ = run(capsys, "invariants", path)
