@@ -126,10 +126,16 @@ def _describe_line(L: Superalgebra, v) -> str:
 
 @dataclass(frozen=True)
 class GammaVerdict:
-    in_scope: bool
-    gamma: int | None
     class_match: str | None
     report: MultiplierReport
+
+    @property
+    def gamma(self) -> int | None:
+        return self.report.gamma
+
+    @property
+    def in_scope(self) -> bool:
+        return self.report.gamma is not None
 
 
 def fingerprint(L: Superalgebra) -> tuple:
@@ -153,15 +159,11 @@ def gamma(L: Superalgebra) -> GammaVerdict:
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     rep = multiplier_dimension(L)
-    in_scope = rep.gamma is not None
     match = None
-    if in_scope:
+    if rep.gamma is not None:
         fp = fingerprint(L)
-        for name, ref in _class_fingerprints().items():
-            if fp == ref:
-                match = name
-                break
-    return GammaVerdict(in_scope, rep.gamma, match, rep)
+        match = next((name for name, ref in _class_fingerprints().items() if ref == fp), None)
+    return GammaVerdict(match, rep)
 
 
 @dataclass(frozen=True)

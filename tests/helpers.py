@@ -1,6 +1,6 @@
 """Shared test utilities."""
 
-from superschur import GradedSubspace, Superalgebra
+from superschur import GradedSubspace, Superalgebra, bracket
 from superschur.linalg import LinearMap
 from superschur.errors import DimensionMismatch
 
@@ -13,11 +13,12 @@ def change_basis(L, perm, scales):
     """
     total = L.dims.total
     inv = {perm[i]: i for i in range(total)}
+    unit = [[L.field.of(int(k == i)) for k in range(total)] for i in range(total)]
     entries = []
     for i in range(total):
         for j in range(i, total):
-            t = L.bracket_basis(perm[i], perm[j])
-            if t is None or not any(t):
+            t = bracket(L, unit[perm[i]], unit[perm[j]])
+            if not any(t):
                 continue
             vec = [L.field.zero] * total
             for k, c in enumerate(t):
@@ -25,6 +26,24 @@ def change_basis(L, perm, scales):
                     vec[inv[k]] = scales[i] * scales[j] / scales[inv[k]] * c
             entries.append(((i, j), vec))
     return Superalgebra.from_entries(L.field, L.dims, entries, name=L.name + "~")
+
+
+def reference_bracket(L, x, y):
+    """[x, y] by a dense double loop over `L.table`: the pair (i, j) with
+    i > j reads the canonical entry (j, i) times the super-skew sign
+    -(-1)^{|b_i||b_j|}. An independent reference for `bracket`."""
+    total = L.dims.total
+    out = [L.field.zero] * total
+    for i in range(total):
+        for j in range(total):
+            if i <= j:
+                t, s = L.table.get((i, j)), 1
+            else:
+                t, s = L.table.get((j, i)), (1 if L.parity(i) and L.parity(j) else -1)
+            if t is not None:
+                c = L.field.of(s) * x[i] * y[j]
+                out = [o + c * v for o, v in zip(out, t)]
+    return out
 
 
 def random_parity_basis_change(rng, L):

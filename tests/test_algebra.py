@@ -37,7 +37,7 @@ from superschur.errors import (
 from superschur.verifier import ScanConfig, generate_nilpotent
 from superschur.fields import Field, RATIONALS
 
-from helpers import subspace_sum
+from helpers import reference_bracket, subspace_sum
 
 D22 = SuperDim(2, 2)
 
@@ -179,6 +179,31 @@ def test_bracket_super_skew_on_random_vectors(seed):
             for k, c in enumerate(lhs):
                 if c:
                     assert L.parity(k) == block
+
+
+@pytest.fixture(scope="module")
+def bracket_pool():
+    """Per field Q, F_5 and F_7: the catalog and a short scan stream."""
+    pool = []
+    for fld in (RATIONALS, Field(5), Field(7)):
+        pool += [get(name, fld) for name in names()]
+        pool += generate_nilpotent(ScanConfig(field=fld, samples=12, seed=31))
+    return pool
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bracket_matches_dense_reference(bracket_pool, data):
+    L = data.draw(st.sampled_from(bracket_pool))
+    m, total = L.dims.even, L.dims.total
+
+    def vector():
+        lo, hi = data.draw(st.sampled_from([(0, m), (m, total), (0, total)]))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=total, max_size=total))
+        return [L.field.of(c if lo <= k < hi else 0) for k, c in enumerate(coeffs)]
+
+    x, y = vector(), vector()
+    assert bracket(L, x, y) == reference_bracket(L, x, y)
 
 
 @settings(max_examples=25, deadline=None)

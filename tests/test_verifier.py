@@ -168,7 +168,7 @@ def test_generator_reaches_the_1_1_extension_of_0_1():
     found = False
     for L in generate_nilpotent(ScanConfig(samples=120, depth=1, seed=3)):
         if L.dims.even == 1 and L.dims.odd == 1 and not L.is_abelian():
-            t = L.bracket_basis(1, 1)
+            t = L.table.get((1, 1))
             if t is not None and t[0] and not t[1]:
                 found = True
                 break
