@@ -162,7 +162,10 @@ def gamma(L: Superalgebra) -> GammaVerdict:
     match = None
     if rep.gamma is not None:
         fp = fingerprint(L)
-        match = next((name for name, ref in _class_fingerprints().items() if ref == fp), None)
+        for name, ref in _class_fingerprints().items():
+            if fp == ref:
+                match = name
+                break
     return GammaVerdict(match, rep)
 
 
