@@ -467,9 +467,25 @@ def quotient(L: Superalgebra, ideal: GradedSubspace) -> Superalgebra:
 @_per_algebra
 def _line_quotient(L: Superalgebra, v: tuple) -> tuple[bool, Superalgebra]:
     """(even, L/<v>) for a central line; v is its reduced echelon row, so
-    every scaling of one line shares this fact."""
+    every scaling of one line shares this fact.
+
+    The quotient h inherits its lower central series from L, since
+    C^i(h) = (C^i(L) + K)/K: each term's rows are reduced modulo K and kept
+    on h's coordinates, so h's nilpotency never brackets in h.
+    """
     k = GradedSubspace.from_vectors(L.field, L.dims, [v])
-    return k.dim.even == 1, quotient(L, k)
+    h = quotient(L, k)
+    pos = {b: t for t, b in enumerate(sorted(set(range(L.dims.total)) - set(k.echelon)))}
+    series = [GradedSubspace.full(h.field, h.dims)]
+    for term in lower_central_series(L)[1:]:
+        rows = [{pos[c]: x for c, x in reduce_vector(row, k.echelon).items()}
+                for row in term.echelon.values()]
+        nxt = GradedSubspace._span(h.field, h.dims, rows)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    h._facts[(lower_central_series.__name__,)] = tuple(series)
+    return k.dim.even == 1, h
 
 
 def direct_sum(a: Superalgebra, b: Superalgebra) -> Superalgebra:

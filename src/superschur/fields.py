@@ -74,8 +74,10 @@ class Mod:
         return self.val != 0
 
     def __eq__(self, other):
-        v = self._coerce(other) if isinstance(other, (Mod, int)) else None
-        return NotImplemented if v is None else self.val == v
+        if isinstance(other, Mod):
+            return self.val == self._coerce(other)
+        # an int equals only its canonical residue, so equal objects hash alike
+        return self.val == other if isinstance(other, int) else NotImplemented
 
     def __hash__(self):
         return hash(self.val)  # equal ints must hash alike: Mod(1, 5) == 1

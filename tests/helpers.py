@@ -1,6 +1,6 @@
 """Shared test utilities."""
 
-from superschur import GradedSubspace, Superalgebra, bracket
+from superschur import GradedSubspace, SuperDim, Superalgebra, bracket
 from superschur.linalg import LinearMap
 from superschur.errors import DimensionMismatch
 
@@ -28,6 +28,16 @@ def change_basis(L, perm, scales):
     return Superalgebra.from_entries(L.field, L.dims, entries, name=L.name + "~")
 
 
+def chain(n, field):
+    """The (1|n) chain [e1, f_{k+1}] = f_k, k = 1..n-1."""
+    entries = []
+    for k in range(1, n):
+        target = [0] * (1 + n)
+        target[k] = 1
+        entries.append(((0, 1 + k), target))
+    return Superalgebra.from_entries(field, SuperDim(1, n), entries, name=f"chain{n}")
+
+
 def reference_bracket(L, x, y):
     """[x, y] by a dense double loop over `L.table`: the pair (i, j) with
     i > j reads the canonical entry (j, i) times the super-skew sign
@@ -44,6 +54,22 @@ def reference_bracket(L, x, y):
                 c = L.field.of(s) * x[i] * y[j]
                 out = [o + c * v for o, v in zip(out, t)]
     return out
+
+
+def shear(L, a, b, t):
+    """L in the basis b'_a = b_a + t * b_b (a != b of one parity), every
+    other b'_i = b_i; so a vector w has the coordinate w_b - t * w_a at b."""
+    total = L.dims.total
+    unit = [[L.field.of(int(k == i)) for k in range(total)] for i in range(total)]
+    unit[a] = [u + L.field.of(t) * v for u, v in zip(unit[a], unit[b])]
+    entries = []
+    for i in range(total):
+        for j in range(i, total):
+            w = bracket(L, unit[i], unit[j])
+            w[b] = w[b] - L.field.of(t) * w[a]
+            if any(w):
+                entries.append(((i, j), w))
+    return Superalgebra.from_entries(L.field, L.dims, entries, name=L.name + "~")
 
 
 def random_parity_basis_change(rng, L):

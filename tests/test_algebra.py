@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -25,6 +24,7 @@ from superschur import (
     quotient,
     validate,
 )
+from superschur import algebra
 from superschur.algebra import complete_table
 from superschur.errors import (
     ConflictingEntry,
@@ -492,14 +492,6 @@ def test_quotient_accepts_a_non_central_ideal(field):
     assert q.dims == SuperDim(1, 1) and q.is_abelian()
 
 
-@functools.cache
-def _catalog_and_rational_scan():
-    """Catalog entries over Q and F_5, and default-size scan instances over Q."""
-    f5 = Field(5)
-    scan_q = generate_nilpotent(ScanConfig(field=RATIONALS, samples=40))
-    return [get(n) for n in names()] + [get(n, f5) for n in names()] + list(scan_q)
-
-
 @st.composite
 def _candidate_subspace(draw, L):
     """A random graded span of 1-3 homogeneous vectors, an LCS term, L^2 or Z(L)."""
@@ -526,8 +518,8 @@ def _candidate_subspace(draw, L):
 
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
-def test_quotient_closure_matches_the_product_rule(scan_instances, data):
-    inputs = _catalog_and_rational_scan() + scan_instances
+def test_quotient_closure_matches_the_product_rule(three_field_sources, data):
+    inputs = [L for instances in three_field_sources.values() for L in instances]
     L = inputs[data.draw(st.integers(0, len(inputs) - 1))]
     k = data.draw(_candidate_subspace(L))
     full = GradedSubspace.full(L.field, L.dims)
@@ -540,6 +532,38 @@ def test_quotient_closure_matches_the_product_rule(scan_instances, data):
     q = quotient(L, k)
     assert validate(q).ok
     assert q.dims.total == L.dims.total - k.dim.total
+
+
+def _inherits_its_series(L, v):
+    """Whether L/<v> holds, before anything asks for it, the lower central
+    series that the bracket route computes in the quotient itself."""
+    _, h = algebra._line_quotient(L, v)
+    stored = h._facts.get(("lower_central_series",))
+    return stored is not None and stored == lower_central_series.__wrapped__(h)
+
+
+@pytest.fixture(scope="module")
+def central_basis_lines(three_field_sources):
+    """(L, v) for every central basis line of the catalog and the scan
+    streams over Q, F_5 and F_7."""
+    return [(L, v) for instances in three_field_sources.values() for L in instances
+            for v in center(L).full_vectors()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_line_quotients_inherit_the_lower_central_series(central_basis_lines, data):
+    L, v = data.draw(st.sampled_from(central_basis_lines))
+    event(f"{L.field}, series of length {len(lower_central_series(L))}")
+    assert _inherits_its_series(L, v)
+
+
+@pytest.mark.parametrize("L", [abelian(1, 0), abelian(0, 1), abelian(2, 1),
+                               heisenberg3(), heisenberg3(Field(5))], ids=str)
+def test_abelian_and_empty_line_quotients_inherit_the_series(L):
+    # abelian(1|0) and abelian(0|1) have quotients of total dimension 0
+    for v in center(L).full_vectors():
+        assert _inherits_its_series(L, v)
 
 
 def test_quotient_validates_for_catalog_central_lines():

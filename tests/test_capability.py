@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from superschur import (
     GradedSubspace,
@@ -15,15 +15,19 @@ from superschur import (
     gamma,
     get,
     heisenberg3,
+    load,
     mono_criterion,
     names,
     multiplier_dimension,
     verify_no_low_gamma,
 )
-from superschur import algebra, homology
+from superschur import algebra, capability, homology
 from superschur.capability import fingerprint
 from superschur.errors import NotCentral, NotNilpotent, WrongDimension
-from superschur.fields import RATIONALS, Field
+from superschur.fields import RATIONALS
+
+from helpers import chain, shear
+from oracles import oracle_center, oracle_epicenter, same_span
 
 
 def _line(L, index):
@@ -91,6 +95,20 @@ def test_each_fact_is_computed_once_per_algebra(monkeypatch):
                      "multiplier_dimension": 1}
 
 
+@pytest.mark.parametrize("make", [lambda: chain(10, RATIONALS), lambda: get("(2|3)_23")],
+                         ids=["chain10", "(2|3)_23"])
+def test_epicenter_brackets_only_for_the_algebras_own_series(monkeypatch, make):
+    # the line quotients take their lower central series from L's
+    L = make()
+    algebras = []
+    real = algebra.product_subspace
+    monkeypatch.setattr(algebra, "product_subspace",
+                        lambda A, a, b: algebras.append(A) or real(A, a, b))
+    assert epicenter(L).per_generator
+    assert len(algebras) == len(algebra.lower_central_series(L)) - 1
+    assert all(A is L for A in algebras)
+
+
 # --- epicenter --------------------------------------------------------------
 
 def test_epicenter_abelian_1_0_is_everything():
@@ -154,12 +172,11 @@ def test_cross_check_runs_on_every_center_line():
 
 
 @pytest.fixture(scope="module")
-def wide_center_blocks(scan_instances):
-    """Per source (the catalog over Q, F_5 and F_7, the default scan), the
+def wide_center_blocks(three_field_sources):
+    """Per field (the catalog and a scan stream over Q, F_5 and F_7), the
     pairs (L, rows) for every parity block of Z(L) of dim >= 2."""
-    sources = [[get(name, fld) for name in names()] for fld in (RATIONALS, Field(5), Field(7))]
     out = []
-    for instances in sources + [scan_instances]:
+    for instances in three_field_sources.values():
         out.append([])
         for L in instances:
             rows, even = center(L).full_vectors(), center(L).dim.even
@@ -190,6 +207,53 @@ def test_random_central_lines_agree_with_the_epicenter(wide_center_blocks, data)
         assert mono_criterion(fresh, scaled) == mono
     assert len(computed) == 1  # both scalings of the line read one quotient
     assert epicenter(fresh).epicenter.contains_vector(v) == mono
+
+
+@pytest.mark.parametrize("name", names())
+def test_catalog_epicenter_and_center_match_the_oracle(name):
+    L = get(name)
+    assert same_span(L, center(L).full_vectors(), oracle_center(L))
+    assert same_span(L, epicenter(L).epicenter.full_vectors(), oracle_epicenter(L))
+
+
+# A sheared scan instance over F_5 whose center is not basis-aligned: its
+# epicenter <e1 + 4e3> is lost when the lift condition ignores the sign of
+# s(j, i) = -s(i, j)
+SIGN_SENSITIVE = """superalgebra sheared
+field F 5
+even e1 e2 e3
+odd f1 f2 f3
+[e1, f1] = f3
+[e3, f1] = f3
+[f1, f1] = e1 + 4e3
+[f1, f2] = e2
+[f2, f2] = 4e1 + e3
+"""
+
+
+def test_epicenter_matches_the_oracle_where_the_tail_sign_matters():
+    L = load(SIGN_SENSITIVE)
+    epi = capability._epicenter_subspace(L)
+    assert same_span(L, epi.full_vectors(), oracle_epicenter(L))
+    assert epi.dim == SuperDim(1, 0) and center(L).dim == SuperDim(2, 1)
+    assert epicenter(L).epicenter == epi  # and the mono criterion agrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_epicenter_and_center_match_the_oracle(three_field_sources, data):
+    # up to three shears b_a -> b_a + t b_b move the center off the basis
+    fld = data.draw(st.sampled_from(sorted(three_field_sources, key=str)))
+    L = data.draw(st.sampled_from(three_field_sources[fld]))
+    m, total = L.dims.even, L.dims.total
+    blocks = [b for b in (range(m), range(m, total)) if len(b) >= 2]
+    for _ in range(data.draw(st.integers(0, 3)) if blocks else 0):
+        a, b = data.draw(st.permutations(data.draw(st.sampled_from(blocks))))[:2]
+        L = shear(L, a, b, data.draw(st.sampled_from([1, 2, -1])))
+    epi = epicenter(L).epicenter
+    event(f"{fld}, epicenter of dim {epi.dim.total}")
+    assert same_span(L, center(L).full_vectors(), oracle_center(L))
+    assert same_span(L, epi.full_vectors(), oracle_epicenter(L))
 
 
 def test_epicenter_requires_nilpotent():

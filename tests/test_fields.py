@@ -100,6 +100,21 @@ def test_mod_hashes_like_the_int_it_equals():
     assert {1: 0}[Mod(6, 5)] == 0
 
 
+def test_mod_equals_an_int_only_at_its_canonical_residue():
+    four = Mod(4, 5)
+    assert four == 4 and four != -1 and four != 9
+    assert -1 not in {four} and 9 not in {four} and 4 in {four}
+
+
+@given(st.integers(0, 12), st.integers(-30, 30), st.sampled_from([5, 7, 11]))
+def test_mod_int_equality_keeps_the_hash_contract(r, a, p):
+    x = Mod(r, p)
+    assert (x == a) == (a == r % p)
+    assert (x == a) == (a in {x}) == (x in {a})
+    if x == a:
+        assert hash(x) == hash(a)
+
+
 def test_is_prime_matches_sympy():
     assert [n for n in range(10**4) if _is_prime(n)] == list(sympy.primerange(10**4))
 

@@ -31,7 +31,7 @@ from superschur.errors import NotNilpotent
 from superschur.fields import Field, RATIONALS
 from superschur.linalg import mat_rank, reduce_vector, rref
 
-from helpers import compose, intersection_dim
+from helpers import chain, compose, intersection_dim
 from oracles import oracle_multiplier
 
 # Frozen golden values, pinned by the independent all-ordered-triples
@@ -203,20 +203,10 @@ def test_multiplier_matches_over_f5():
         assert q == f, name
 
 
-def _chain(n, field):
-    """The (1|n) chain [e1, f_{k+1}] = f_k, k = 1..n-1."""
-    entries = []
-    for k in range(1, n):
-        target = [0] * (1 + n)
-        target[k] = 1
-        entries.append(((0, 1 + k), target))
-    return Superalgebra.from_entries(field, SuperDim(1, n), entries, name=f"chain{n}")
-
-
 def test_chain_1_20_over_q():
     """The (1|20) chain [e1, f_{k+1}] = f_k: its relation matrix is 230 x 1750
     with 380 nonzeros, so sparse elimination answers in well under a second."""
-    L = _chain(20, RATIONALS)
+    L = chain(20, RATIONALS)
     t0 = time.perf_counter()
     rep = multiplier_dimension(L)
     epi = epicenter(L)  # raises CrossCheckError if the two criteria disagree
@@ -359,5 +349,5 @@ def test_direct_sum_identity(summands, data):
 
 
 def test_direct_sum_identity_chain20_twice_over_f5():
-    L = _chain(20, Field(5))
+    L = chain(20, Field(5))
     _check_direct_sum(L, L)
