@@ -236,39 +236,29 @@ def validate(L: Superalgebra) -> ValidationReport:
     violations = []
     zero = L.field.zero
 
-    def addinto(acc, coeff, vec):
-        for k, v in enumerate(vec):
-            if v:
-                acc[k] = acc[k] + coeff * v
+    def term(acc, inner, outer, left, sgn=None):
+        """acc += sgn * [outer, inner] if `left`, else sgn * [inner, outer],
+        summed over the coordinates b_l of the inner bracket's value."""
+        for l, c in enumerate(inner or ()):
+            if c:
+                u = L.bracket_basis(outer, l) if left else L.bracket_basis(l, outer)
+                if u is not None:
+                    if sgn is not None:
+                        c = sgn * c
+                    for k, v in enumerate(u):
+                        if v:
+                            acc[k] = acc[k] + c * v
 
     for x in act:
         px = L.parity(x)
         for y in act:
             sgn = L.field.of(-1) if (px and L.parity(y)) else L.field.one
+            xy = L.bracket_basis(x, y)
             for z in act:
-                lhs = [zero] * total
-                t = L.bracket_basis(y, z)
-                if t is not None:
-                    for l, c in enumerate(t):
-                        if c:
-                            u = L.bracket_basis(x, l)
-                            if u is not None:
-                                addinto(lhs, c, u)
-                rhs = [zero] * total
-                t = L.bracket_basis(x, y)
-                if t is not None:
-                    for l, c in enumerate(t):
-                        if c:
-                            u = L.bracket_basis(l, z)
-                            if u is not None:
-                                addinto(rhs, c, u)
-                t = L.bracket_basis(x, z)
-                if t is not None:
-                    for l, c in enumerate(t):
-                        if c:
-                            u = L.bracket_basis(y, l)
-                            if u is not None:
-                                addinto(rhs, sgn * c, u)
+                lhs, rhs = [zero] * total, [zero] * total
+                term(lhs, L.bracket_basis(y, z), x, True)
+                term(rhs, xy, z, False)
+                term(rhs, L.bracket_basis(x, z), y, True, sgn)
                 if lhs != rhs:
                     violations.append(JacobiViolation(
                         (x, y, z),
@@ -356,16 +346,20 @@ def derived_subspace(L: Superalgebra) -> GradedSubspace:
     return GradedSubspace.from_vectors(L.field, L.dims, L.table.values())
 
 
+def _descending(L: Superalgebra, acting: GradedSubspace, series: list) -> list:
+    """`series` extended by [acting, last term] until two terms agree."""
+    while (nxt := product_subspace(L, acting, series[-1])) != series[-1]:
+        series.append(nxt)
+    return series
+
+
 @_per_algebra
 def lower_central_series(L: Superalgebra) -> tuple[GradedSubspace, ...]:
-    """C^0 = L, C^{i+1} = [L, C^i]; stops when two consecutive terms agree."""
+    """C^0 = L, C^1 = L^2, C^{i+1} = [L, C^i]; stops when two consecutive
+    terms agree."""
     full = GradedSubspace.full(L.field, L.dims)
-    series = [full]
-    nxt = derived_subspace(L)
-    while nxt != series[-1]:
-        series.append(nxt)
-        nxt = product_subspace(L, full, nxt)
-    return tuple(series)
+    d = derived_subspace(L)
+    return (full,) if d == full else tuple(_descending(L, full, [full, d]))
 
 
 def is_nilpotent(L: Superalgebra) -> bool:
@@ -378,16 +372,7 @@ def component_series(L: Superalgebra):
     even_part, odd_part = (
         GradedSubspace(L.field, L.dims, {k: {k: one} for k in block})
         for block in (range(m), range(m, L.dims.total)))
-    out = []
-    for start in (even_part, odd_part):
-        series = [start]
-        while True:
-            nxt = product_subspace(L, even_part, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        out.append(series)
-    return out[0], out[1]
+    return _descending(L, even_part, [even_part]), _descending(L, even_part, [odd_part])
 
 
 def nilpotent_by_components(L: Superalgebra) -> bool:

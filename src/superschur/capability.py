@@ -152,23 +152,19 @@ def fingerprint(L: Superalgebra) -> tuple:
 
 @functools.cache
 def _class_fingerprints() -> dict:
+    """Fingerprint -> the first gamma = 2 list name with it, in table order."""
     from .catalog import get, names
 
-    return {name: fingerprint(get(name)) for name in names("gamma2-list")}
+    classes = {}
+    for name in names("gamma2-list"):
+        classes.setdefault(fingerprint(get(name)), name)
+    return classes
 
 
 def gamma(L: Superalgebra) -> GammaVerdict:
     """Gamma defect with a fingerprint match against the named gamma = 2 list."""
-    if not is_nilpotent(L):
-        raise NotNilpotent(f"{L} is not nilpotent")
-    rep = multiplier_dimension(L)
-    match = None
-    if rep.gamma is not None:
-        fp = fingerprint(L)
-        for name, ref in _class_fingerprints().items():
-            if fp == ref:
-                match = name
-                break
+    rep = multiplier_dimension(L)  # raises NotNilpotent
+    match = None if rep.gamma is None else _class_fingerprints().get(fingerprint(L))
     return GammaVerdict(match, rep)
 
 

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import SuperDim, Superalgebra, default_labels, derived_subspace
+from .algebra import SuperDim, Superalgebra, derived_subspace
 from .errors import ScopeWarning, UnknownName
 from .fields import Field, RATIONALS
 from .presentation import _lower_unchecked, parse
@@ -104,32 +104,16 @@ def family_4_2(alpha2, alpha4, field: Field = RATIONALS) -> Superalgebra:
     alpha2 is nonzero; otherwise the instance degenerates (derived
     dimension 3) and a ScopeWarning is emitted.
     """
-    a2 = field.of(alpha2)
-    a4 = field.of(alpha4)
-    dims = SuperDim(4, 2)
-    labels = default_labels(dims)
-    z = field.zero
-    e3 = labels.index("e3")
-    e4 = labels.index("e4")
-    e2 = labels.index("e2")
-    f1 = labels.index("f1")
-
-    def vec(*pairs):
-        v = [z] * dims.total
-        for idx, c in pairs:
-            v[idx] = v[idx] + c
-        return v
-
-    entries = [
-        ((0, 1), vec((e3, field.one), (e4, a4))),          # [e1, e2]
-        ((0, e3), vec((e4, a2))),                          # [e1, e3]
-        ((f1, f1), vec((e4, a2))),                         # [f1, f1]
-        ((0, labels.index("f2")), vec((f1, field.one))),   # [e1, f2]
-        ((f1, labels.index("f2")), vec((e3, field.one), (e4, a4))),  # [f1, f2]
-        ((labels.index("f2"), labels.index("f2")), vec((e2, field.of(2)))),  # [f2, f2]
+    entries = [  # coordinates over e1 e2 e3 e4 f1 f2
+        ((0, 1), [0, 0, 1, alpha4, 0, 0]),  # [e1, e2] = e3 + alpha4 e4
+        ((0, 2), [0, 0, 0, alpha2, 0, 0]),  # [e1, e3] = alpha2 e4
+        ((4, 4), [0, 0, 0, alpha2, 0, 0]),  # [f1, f1] = alpha2 e4
+        ((0, 5), [0, 0, 0, 0, 1, 0]),       # [e1, f2] = f1
+        ((4, 5), [0, 0, 1, alpha4, 0, 0]),  # [f1, f2] = e3 + alpha4 e4
+        ((5, 5), [0, 2, 0, 0, 0, 0]),       # [f2, f2] = 2 e2
     ]
-    L = Superalgebra.from_entries(field, dims, entries,
-                                  name=f"(4|2)[{alpha2},{alpha4}]", labels=labels)
+    L = Superalgebra.from_entries(field, SuperDim(4, 2), entries,
+                                  name=f"(4|2)[{alpha2},{alpha4}]")
     if derived_subspace(L).dim.total < 4:
         warnings.warn(
             f"(4|2) family parameters ({alpha2}, {alpha4}) fall outside the "

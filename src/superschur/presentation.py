@@ -236,7 +236,7 @@ def serialize(L: Superalgebra) -> str:
 
 
 _JSON_KEYS = ("dimC2", "dimDerived", "rankRelations", "dimMultiplier",
-              "gamma", "capable", "epicenterDim", "discrepancies")
+              "gamma", "capable", "epicenterDim")
 
 
 def _multiplier_fields(rep: MultiplierReport) -> dict:
@@ -278,6 +278,6 @@ def emit_report(report, format: str = "human") -> str:
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
     if format == "json":
-        doc = dict.fromkeys(_JSON_KEYS) | {"discrepancies": []} | fields
+        doc = dict.fromkeys(_JSON_KEYS) | fields
         return json.dumps(doc, indent=2)
     return _aligned(rows)

@@ -30,7 +30,7 @@ from .catalog import TABLE1_ORDER, abelian, entry, get
 from .errors import SuperschurError
 from .fields import Field
 from .homology import multiplier_dimension, tail_extension
-from .linalg import mat_rank, rref
+from .linalg import rref
 from .presentation import load, serialize
 
 DEFAULT_SEED = 1729
@@ -81,12 +81,9 @@ def _kill_block(rng, fld: Field, tails: list, keep: int) -> dict:
         return {}
     for _ in range(24):
         rows = [{t: _rand_scalar(rng, fld) for t in tails} for _ in range(target)]
-        if keep:
-            rr, pivots = rref(rows)
-            if len(rr) == target:
-                return dict(zip(pivots, rr))
-        elif mat_rank(rows) == target:
-            break  # the draw spans every tail: its echelon is the unit rows
+        rr, pivots = rref(rows)
+        if len(rr) == target:
+            return dict(zip(pivots, rr))
     return {t: {t: fld.one} for t in tails[:target]}
 
 

@@ -394,6 +394,19 @@ def test_non_nilpotent_detected():
     assert not nilpotent_by_components(L)
 
 
+@pytest.mark.parametrize("fld", [RATIONALS, Field(5)], ids=str)
+def test_perfect_algebra_series_stop_at_the_first_term(fld):
+    # sl2 = <e, h, f> as e1, e2, e3 is perfect, L^2 = L, in characteristic != 2
+    L = Superalgebra.from_entries(fld, SuperDim(3, 0), [
+        ((0, 1), [-2, 0, 0]), ((0, 2), [0, 1, 0]), ((1, 2), [0, 0, -2])])
+    assert validate(L).ok
+    full = GradedSubspace.full(fld, L.dims)
+    assert lower_central_series(L) == (full,)
+    assert component_series(L) == ([full], [GradedSubspace(fld, L.dims, {})])
+    assert not is_nilpotent(L)
+    assert not nilpotent_by_components(L)
+
+
 def test_component_series_1_3_1():
     L = get("(1|3)_1")
     ev, od = component_series(L)

@@ -216,10 +216,12 @@ def test_catalog_epicenter_and_center_match_the_oracle(name):
     assert same_span(L, epicenter(L).epicenter.full_vectors(), oracle_epicenter(L))
 
 
-# A sheared scan instance over F_5 whose center is not basis-aligned: its
-# epicenter <e1 + 4e3> is lost when the lift condition ignores the sign of
-# s(j, i) = -s(i, j)
-SIGN_SENSITIVE = """superalgebra sheared
+# Sheared scan instances whose centers are not basis-aligned, found by
+# search: each epicenter (over F_5 <e1 + 4e3>, over Q <e1 - e3>, over F_7
+# <e1 + 3e3>) is lost when the lift condition ignores the sign of
+# s(j, i) = -s(i, j). Each case: text, epicenter dim, center dim.
+SIGN_SENSITIVE = {
+    "F5": ("""superalgebra sheared
 field F 5
 even e1 e2 e3
 odd f1 f2 f3
@@ -228,14 +230,33 @@ odd f1 f2 f3
 [f1, f1] = e1 + 4e3
 [f1, f2] = e2
 [f2, f2] = 4e1 + e3
-"""
+""", SuperDim(1, 0), SuperDim(2, 1)),
+    "Q": ("""superalgebra sheared
+field Q
+even e1 e2 e3
+odd f1 f2
+[e1, e2] = -2e1 + 2e3
+[e2, e3] = 2e1 - 2e3
+[f1, f2] = -e1 + e3
+""", SuperDim(1, 0), SuperDim(1, 0)),
+    "F7": ("""superalgebra sheared
+field F 7
+even e1 e2 e3
+odd f1 f2
+[f1, f1] = 6e1 + 4e3
+[f1, f2] = 6e1 + 4e3
+[f2, f2] = 5e1 + e3
+""", SuperDim(1, 0), SuperDim(3, 0)),
+}
 
 
-def test_epicenter_matches_the_oracle_where_the_tail_sign_matters():
-    L = load(SIGN_SENSITIVE)
+@pytest.mark.parametrize("text, epi_dim, center_dim", SIGN_SENSITIVE.values(),
+                         ids=SIGN_SENSITIVE)
+def test_epicenter_matches_the_oracle_where_the_tail_sign_matters(text, epi_dim, center_dim):
+    L = load(text)
     epi = capability._epicenter_subspace(L)
     assert same_span(L, epi.full_vectors(), oracle_epicenter(L))
-    assert epi.dim == SuperDim(1, 0) and center(L).dim == SuperDim(2, 1)
+    assert epi.dim == epi_dim and center(L).dim == center_dim
     assert epicenter(L).epicenter == epi  # and the mono criterion agrees
 
 

@@ -187,7 +187,7 @@ def test_negative_scan_count_is_usage_error(option, value, capsys):
 # sha256 of every report command's output on every catalog entry, human and
 # --json, then `invariants` on every shipped data file, each block headed by
 # its command line and exit code, with the `time (s)` value masked.
-REPORTS_SHA256 = "1771d00f2820a6e0d238236b942f0ad41ff98a9c22ac0fc08be975790c19ed03"
+REPORTS_SHA256 = "378967b91dc63a7b38ca660037cdf69634f4c8e784d6d4e5573b54221c1a7906"
 
 
 def test_report_output_bytes_are_pinned(capsys):

@@ -156,7 +156,7 @@ def test_parse_never_panics(text):
 # --- reports ----------------------------------------------------------------
 
 JSON_KEYS = {"dimC2", "dimDerived", "rankRelations", "dimMultiplier",
-             "gamma", "capable", "epicenterDim", "discrepancies"}
+             "gamma", "capable", "epicenterDim"}
 
 
 def test_emit_multiplier_json_schema():
@@ -164,7 +164,6 @@ def test_emit_multiplier_json_schema():
     assert set(doc) == JSON_KEYS
     assert doc["dimMultiplier"] == 1
     assert doc["capable"] is None
-    assert doc["discrepancies"] == []
 
 
 def test_emit_epicenter_json():
