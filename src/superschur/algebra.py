@@ -456,7 +456,8 @@ def _line_quotient(L: Superalgebra, v: tuple) -> tuple[bool, Superalgebra]:
 
     The quotient h inherits its lower central series from L, since
     C^i(h) = (C^i(L) + K)/K: each term's rows are reduced modulo K and kept
-    on h's coordinates, so h's nilpotency never brackets in h.
+    on h's coordinates, so h's nilpotency never brackets in h. Its second
+    term, or its only one when h is zero, is h^2 = (L^2 + K)/K.
     """
     k = GradedSubspace.from_vectors(L.field, L.dims, [v])
     h = quotient(L, k)
@@ -470,6 +471,7 @@ def _line_quotient(L: Superalgebra, v: tuple) -> tuple[bool, Superalgebra]:
             break
         series.append(nxt)
     h._facts[(lower_central_series.__name__,)] = tuple(series)
+    h._facts[(derived_subspace.__name__,)] = series[min(1, len(series) - 1)]
     return k.dim.even == 1, h
 
 

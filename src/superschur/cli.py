@@ -84,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ("capability", "epicenter and capability verdict", epicenter),
             ("gamma", "gamma defect and class match", gamma)):
         sp = sub.add_parser(name, parents=[common], help=desc)
-        sp.add_argument("file", nargs="?", metavar="FILE")
-        sp.add_argument("--catalog", dest="catalog_name", metavar="NAME",
-                        help="use a built-in catalog entry")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("file", nargs="?", metavar="FILE")
+        source.add_argument("--catalog", dest="catalog_name", metavar="NAME",
+                            help="use a built-in catalog entry")
         sp.set_defaults(run=functools.partial(_cmd_report, compute=compute))
 
     sp = sub.add_parser("catalog", parents=[common], help="list catalog entries")
@@ -110,10 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_input(args) -> "object":
     if getattr(args, "catalog_name", None):
         return catalog.get(args.catalog_name, args.field or RATIONALS)
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as fh:
-            return load(fh.read(), args.field)
-    raise SuperschurError("give a FILE or --catalog NAME")
+    with open(args.file, encoding="utf-8") as fh:
+        return load(fh.read(), args.field)
 
 
 def _cmd_validate(args) -> int:

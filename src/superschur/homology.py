@@ -119,6 +119,7 @@ def relations3(L: Superalgebra) -> LinearMap:
     return LinearMap(L.field, ps.dim, tuple(cols))
 
 
+@_per_algebra
 def _tail_residues(L: Superalgebra) -> tuple[list, list]:
     """Each tail unit vector e_t modulo the relation span, read off its RREF.
 
@@ -134,6 +135,21 @@ def _tail_residues(L: Superalgebra) -> tuple[list, list]:
         residues[p] = {k: -x for k, x in row.items() if k != p}
     free = sorted(set(range(rel.codomain_dim)).difference(pivots))
     return free, residues
+
+
+@_per_algebra
+def _tail_layout(L: Superalgebra) -> tuple[SuperDim, dict, dict]:
+    """E's dimensions and where E puts each free tail: its even and its odd
+    tails as {free column: coordinate in E}, in increasing order. E's basis
+    is L's evens, the even tails, L's odds, then the odd tails."""
+    parities = PairSpace.of(L).parities
+    free, _ = _tail_residues(L)
+    even = [t for t in free if parities[t] == EVEN]
+    odd = [t for t in free if parities[t] != EVEN]
+    m, n = L.dims.even, L.dims.odd
+    dims_e = SuperDim(m + len(even), n + len(odd))
+    return (dims_e, {t: m + k for k, t in enumerate(even)},
+            {t: dims_e.even + n + k for k, t in enumerate(odd)})
 
 
 def gamma_in_scope(L: Superalgebra, dim_derived: int) -> bool:
@@ -199,19 +215,10 @@ def tail_extension(L: Superalgebra) -> TailExtension:
     if not is_nilpotent(L):
         raise NotNilpotent(f"{L} is not nilpotent")
     ps = PairSpace.of(L)
-    free, residues = _tail_residues(L)
-    free_even = [t for t in free if ps.parities[t] == EVEN]
-    free_odd = [t for t in free if ps.parities[t] == 1]
-    w0, w1 = len(free_even), len(free_odd)
-    m, n = L.dims.even, L.dims.odd
-    dims_e = SuperDim(m + w0, n + w1)
-
-    # E coordinates: L evens, even tails, L odds, odd tails
-    tail_pos = {}
-    for k, t in enumerate(free_even):
-        tail_pos[t] = m + k
-    for k, t in enumerate(free_odd):
-        tail_pos[t] = dims_e.even + n + k
+    _, residues = _tail_residues(L)
+    dims_e, even_pos, odd_pos = _tail_layout(L)
+    tail_pos = even_pos | odd_pos
+    m, n, w0 = L.dims.even, L.dims.odd, len(even_pos)
 
     def embed_l(idx):
         return idx if idx < m else dims_e.even + (idx - m)
@@ -230,7 +237,7 @@ def tail_extension(L: Superalgebra) -> TailExtension:
             entries.append(((embed_l(i), embed_l(j)), vec))
 
     l_labels = [L.label(i) for i in range(L.dims.total)]
-    t_labels = _fresh_labels(l_labels, w0 + w1)
+    t_labels = _fresh_labels(l_labels, len(tail_pos))
     labels = ([l_labels[i] for i in range(m)] + t_labels[:w0]
               + [l_labels[m + j] for j in range(n)] + t_labels[w0:])
     ext = Superalgebra.from_entries(

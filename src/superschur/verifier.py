@@ -29,7 +29,7 @@ from .algebra import (
 from .catalog import TABLE1_ORDER, abelian, entry, get
 from .errors import SuperschurError
 from .fields import Field
-from .homology import multiplier_dimension, tail_extension
+from .homology import _tail_layout, multiplier_dimension, tail_extension
 from .linalg import rref
 from .presentation import load, serialize
 
@@ -93,21 +93,32 @@ def _intern(algebras: dict, L: Superalgebra) -> Superalgebra:
 
 
 def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
-                 algebras: dict) -> Superalgebra:
-    """A random central quotient of L's tail extension, interned in
-    `algebras`; L itself when every tail is killed."""
-    ext = tail_extension(L)
-    w = ext.kernel.dim
+                 algebras: dict, last: bool) -> Superalgebra:
+    """A random central quotient of L's tail extension E, interned in
+    `algebras`; L itself when every tail is killed. E is built only when a
+    tail is kept.
+
+    In an instance's `last` step, after which its rng is dropped, a block
+    that keeps nothing and comes after the last block that keeps a tail
+    draws nothing: its kill rows are the unit rows of its tails whatever is
+    drawn. An even block ahead of a live odd block still draws, since its
+    redraws move the odd draws.
+    """
+    _, even, odd = _tail_layout(L)
     room0 = max_even - L.dims.even
     room1 = max_odd - L.dims.odd
-    keep0 = rng.randint(0, min(w.even, room0)) if min(w.even, room0) > 0 else 0
-    keep1 = rng.randint(0, min(w.odd, room1)) if min(w.odd, room1) > 0 else 0
-    # the tail kernel is spanned by unit vectors at the tail coordinates
-    tails = sorted(ext.kernel.echelon)
-    kill = (_kill_block(rng, L.field, tails[: w.even], keep0)
-            | _kill_block(rng, L.field, tails[w.even:], keep1))
+    keep0 = rng.randint(0, min(len(even), room0)) if min(len(even), room0) > 0 else 0
+    keep1 = rng.randint(0, min(len(odd), room1)) if min(len(odd), room1) > 0 else 0
+    if last and not keep0 and not keep1:
+        return L
+    kill = _kill_block(rng, L.field, list(even.values()), keep0)
+    if keep1 or not last:
+        kill |= _kill_block(rng, L.field, list(odd.values()), keep1)
+    else:
+        kill |= {t: {t: L.field.one} for t in odd.values()}
     if not keep0 and not keep1:
         return L  # E modulo every tail is L again; the draws above keep rng in step
+    ext = tail_extension(L)
     return _intern(algebras, quotient(ext.algebra,
                                       GradedSubspace(L.field, ext.algebra.dims, kill)))
 
@@ -125,8 +136,9 @@ def generate_nilpotent(config: ScanConfig):
         if m0 + n0 == 0:  # seed one basis vector, inside the budget
             m0, n0 = (0, 1) if config.max_odd else (1, 0)
         L = _intern(algebras, abelian(m0, n0, config.field))
-        for _ in range(config.depth):
-            L = _extend_once(rng, L, config.max_even, config.max_odd, algebras)
+        for step in range(config.depth):
+            L = _extend_once(rng, L, config.max_even, config.max_odd, algebras,
+                             step == config.depth - 1)
         rep = validate(L)
         if not rep.ok or not is_nilpotent(L):
             raise SuperschurError(

@@ -548,11 +548,12 @@ def test_quotient_closure_matches_the_product_rule(three_field_sources, data):
 
 
 def _inherits_its_series(L, v):
-    """Whether L/<v> holds, before anything asks for it, the lower central
-    series that the bracket route computes in the quotient itself."""
+    """Whether L/<v> holds, before anything asks for them, the lower central
+    series and the derived subspace that the bracket route and the table's
+    values give in the quotient itself."""
     _, h = algebra._line_quotient(L, v)
-    stored = h._facts.get(("lower_central_series",))
-    return stored is not None and stored == lower_central_series.__wrapped__(h)
+    return all(h._facts.get((fact.__name__,)) == fact.__wrapped__(h)
+               for fact in (lower_central_series, derived_subspace))
 
 
 @pytest.fixture(scope="module")

@@ -160,6 +160,25 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["multiplier", "capability", "gamma"])
+def test_report_without_input_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "FILE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["multiplier", "capability", "gamma"])
+def test_report_with_file_and_catalog_is_usage_error(command, capsys):
+    path = str(data_path("(2|3)_22"))
+    for argv in ([command, path, "--catalog", "(2|2)_1"],
+                 [command, "--catalog", "(2|2)_1", path]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["F4", "F3", "F9"])
 def test_excluded_field_is_usage_error(field, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from superschur import (
     ScanConfig,
@@ -90,12 +91,17 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
     import superschur.homology as homology
     import superschur.verifier as verifier
 
-    built, extended = [], []
+    built, residues, extended = [], [], []
     real_tail, real_extend = homology.tail_extension.__wrapped__, verifier._extend_once
+    real_residues = homology._tail_residues.__wrapped__
 
     def tail(L):
         built.append(_content(L))
         return real_tail(L)
+
+    def tail_residues(L):
+        residues.append(_content(L))
+        return real_residues(L)
 
     def extend(rng, L, *args):
         extended.append(_content(L))
@@ -103,14 +109,37 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
 
     # a memoized fact is computed by its `__wrapped__`, so cache hits are not counted
     monkeypatch.setattr(homology.tail_extension, "__wrapped__", tail)
+    monkeypatch.setattr(homology._tail_residues, "__wrapped__", tail_residues)
     monkeypatch.setattr(verifier, "_extend_once", extend)
-    list(generate_nilpotent(ScanConfig()))
-    assert len(extended) == 400
-    assert len(built) == len(set(extended)) == 89
-    # the cache lives as long as one stream: a second one builds them all again
-    built.clear()
-    list(generate_nilpotent(ScanConfig()))
-    assert len(built) == 89
+    # the cache lives as long as one stream: a second one computes it all again
+    for _ in range(2):
+        del built[:], residues[:], extended[:]
+        list(generate_nilpotent(ScanConfig()))
+        assert len(extended) == 400
+        # each step reads the tail kernel of its input; E is built only for
+        # the 38 inputs of a step that keeps a tail
+        assert len(residues) == len(set(extended)) == 89
+        assert len(built) == len(set(built)) == 38
+
+
+@settings(max_examples=100, deadline=None)
+@given(fld=st.sampled_from([Field(5), Field(7), RATIONALS]),
+       budget=st.sampled_from([(m, n) for m in range(5) for n in range(5) if m + n]),
+       samples=st.integers(10, 30), seed=st.integers(0, 2**32), depth=st.integers(1, 3))
+def test_last_step_skips_only_draws_that_nothing_reads(fld, budget, samples, seed, depth):
+    # the stream equals the one whose every step draws every kill block
+    import superschur.verifier as verifier
+
+    def draw_every_block(rng, L, *args):
+        return real_extend(rng, L, *args[:-1], False)
+
+    real_extend = verifier._extend_once
+    config = ScanConfig(fld, *budget, samples, seed, depth)
+    event(f"{fld}, depth {depth}")
+    fast = [serialize(L) for L in generate_nilpotent(config)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_extend_once", draw_every_block)
+        assert fast == [serialize(L) for L in generate_nilpotent(config)]
 
 
 def test_stream_shares_facts_across_repeated_instances(monkeypatch):
