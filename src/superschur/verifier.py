@@ -98,17 +98,27 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
     `algebras`; L itself when every tail is killed. E is built only when a
     tail is kept.
 
+    A step that can keep no tail (no block has both room in the budget and
+    a free tail) returns L before it reads the tail kernel or draws. Every
+    later step of the instance then sees the same L and returns it too, so
+    the draws it skips are ones that nothing reads.
+
     In an instance's `last` step, after which its rng is dropped, a block
     that keeps nothing and comes after the last block that keeps a tail
     draws nothing: its kill rows are the unit rows of its tails whatever is
     drawn. An even block ahead of a live odd block still draws, since its
     redraws move the odd draws.
     """
-    _, even, odd = _tail_layout(L)
     room0 = max_even - L.dims.even
     room1 = max_odd - L.dims.odd
-    keep0 = rng.randint(0, min(len(even), room0)) if min(len(even), room0) > 0 else 0
-    keep1 = rng.randint(0, min(len(odd), room1)) if min(len(odd), room1) > 0 else 0
+    if room0 <= 0 and room1 <= 0:
+        return L
+    _, even, odd = _tail_layout(L)
+    cap0, cap1 = min(len(even), room0), min(len(odd), room1)
+    if cap0 <= 0 and cap1 <= 0:
+        return L
+    keep0 = rng.randint(0, cap0) if cap0 > 0 else 0
+    keep1 = rng.randint(0, cap1) if cap1 > 0 else 0
     if last and not keep0 and not keep1:
         return L
     kill = _kill_block(rng, L.field, list(even.values()), keep0)
@@ -126,6 +136,9 @@ def _extend_once(rng, L: Superalgebra, max_even: int, max_odd: int,
 def generate_nilpotent(config: ScanConfig):
     """Deterministic stream of validated nilpotent instances within budget;
     instances of one content are renamed copies sharing one algebra's facts."""
+    negative = [k for k in ("max_even", "max_odd", "samples", "depth") if getattr(config, k) < 0]
+    if negative:
+        raise SuperschurError(f"scan config has negative {', '.join(negative)}")
     if config.max_even + config.max_odd == 0:
         raise SuperschurError("the dimension budget (0|0) admits no nonzero algebra")
     algebras = {}  # content -> algebra, for this stream only

@@ -1,7 +1,9 @@
 """Shared test utilities."""
 
-from superschur import GradedSubspace, SuperDim, Superalgebra, bracket
+from superschur import GradedSubspace, SuperDim, Superalgebra, bracket, quotient
+from superschur.homology import _tail_layout, tail_extension
 from superschur.linalg import LinearMap
+from superschur.verifier import _intern, _kill_block
 from superschur.errors import DimensionMismatch
 
 
@@ -112,3 +114,22 @@ def compose(a, b):
                 out[r] = out[r] + c * x if r in out else c * x
         cols.append({r: v for r, v in out.items() if v})
     return LinearMap(a.field, a.codomain_dim, tuple(cols))
+
+
+def reference_extend_once(rng, L, max_even, max_odd, algebras, last):
+    """One extension step with no shortcut, an independent reference for
+    `verifier._extend_once`: it always reads L's tail layout, draws both
+    kill blocks whatever `last` says, and only then returns L when both
+    blocks keep nothing."""
+    _, even, odd = _tail_layout(L)
+    keeps = []
+    for block, room in ((even, max_even - L.dims.even), (odd, max_odd - L.dims.odd)):
+        cap = min(len(block), room)
+        keeps.append(rng.randint(0, cap) if cap > 0 else 0)
+    kill = {}
+    for block, keep in zip((even, odd), keeps):
+        kill |= _kill_block(rng, L.field, list(block.values()), keep)
+    if not any(keeps):
+        return L
+    ext = tail_extension(L)
+    return _intern(algebras, quotient(ext.algebra, GradedSubspace(L.field, ext.algebra.dims, kill)))

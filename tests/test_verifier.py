@@ -23,6 +23,8 @@ from superschur.errors import SuperschurError
 from superschur.fields import Field, RATIONALS
 from superschur.verifier import _TABLE, Finding
 
+from helpers import reference_extend_once
+
 
 def test_generator_depth0_yields_abelians():
     cfg = ScanConfig(samples=10, depth=0, seed=7)
@@ -49,6 +51,18 @@ def test_generator_stays_within_every_budget(max_even, max_odd):
 def test_generator_rejects_the_empty_budget():
     with pytest.raises(SuperschurError):
         next(generate_nilpotent(ScanConfig(max_even=0, max_odd=0)))
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"max_even": -1}, "max_even"), ({"max_odd": -2}, "max_odd"),
+    ({"samples": -3}, "samples"), ({"depth": -1}, "depth"),
+    # a budget that sums to zero is reported as negative, not as (0|0)
+    ({"max_even": -1, "max_odd": 1}, "max_even"),
+    ({"samples": -1, "depth": -2}, "samples, depth"),
+])
+def test_generator_rejects_a_negative_config(bad, named):
+    with pytest.raises(SuperschurError, match=f"negative {named}$"):
+        next(generate_nilpotent(ScanConfig(**bad)))
 
 
 def test_generator_is_deterministic():
@@ -91,9 +105,9 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
     import superschur.homology as homology
     import superschur.verifier as verifier
 
-    built, residues, extended = [], [], []
+    built, residues, extended, drawn = [], [], [], []
     real_tail, real_extend = homology.tail_extension.__wrapped__, verifier._extend_once
-    real_residues = homology._tail_residues.__wrapped__
+    real_residues, real_scalar = homology._tail_residues.__wrapped__, verifier._rand_scalar
 
     def tail(L):
         built.append(_content(L))
@@ -107,19 +121,26 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
         extended.append(_content(L))
         return real_extend(rng, L, *args)
 
+    def scalar(rng, fld):
+        drawn.append(None)
+        return real_scalar(rng, fld)
+
     # a memoized fact is computed by its `__wrapped__`, so cache hits are not counted
     monkeypatch.setattr(homology.tail_extension, "__wrapped__", tail)
     monkeypatch.setattr(homology._tail_residues, "__wrapped__", tail_residues)
     monkeypatch.setattr(verifier, "_extend_once", extend)
+    monkeypatch.setattr(verifier, "_rand_scalar", scalar)
     # the cache lives as long as one stream: a second one computes it all again
     for _ in range(2):
-        del built[:], residues[:], extended[:]
+        del built[:], residues[:], extended[:], drawn[:]
         list(generate_nilpotent(ScanConfig()))
-        assert len(extended) == 400
-        # each step reads the tail kernel of its input; E is built only for
-        # the 38 inputs of a step that keeps a tail
-        assert len(residues) == len(set(extended)) == 89
+        assert (len(extended), len(set(extended))) == (400, 89)
+        # the tail kernel is read once per distinct input of a step that can
+        # keep a tail; E is built only for the 38 inputs of a step that keeps one
+        assert len(residues) == len(set(residues)) == 61
         assert len(built) == len(set(built)) == 38
+        # kill-span scalars, drawn only where a later step or block reads the rng
+        assert len(drawn) == 5165
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,18 +148,15 @@ def test_stream_builds_each_distinct_tail_extension_once(monkeypatch):
        budget=st.sampled_from([(m, n) for m in range(5) for n in range(5) if m + n]),
        samples=st.integers(10, 30), seed=st.integers(0, 2**32), depth=st.integers(1, 3))
 def test_last_step_skips_only_draws_that_nothing_reads(fld, budget, samples, seed, depth):
-    # the stream equals the one whose every step draws every kill block
+    # the stream equals the one whose every step reads the tail layout and
+    # draws both kill blocks, with no early exit
     import superschur.verifier as verifier
 
-    def draw_every_block(rng, L, *args):
-        return real_extend(rng, L, *args[:-1], False)
-
-    real_extend = verifier._extend_once
     config = ScanConfig(fld, *budget, samples, seed, depth)
     event(f"{fld}, depth {depth}")
     fast = [serialize(L) for L in generate_nilpotent(config)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "_extend_once", draw_every_block)
+        mp.setattr(verifier, "_extend_once", reference_extend_once)
         assert fast == [serialize(L) for L in generate_nilpotent(config)]
 
 
